@@ -42,6 +42,7 @@ use seqavf_core::engine::{SartConfig, SartEngine, WarmStatus};
 use seqavf_core::fixpoint;
 use seqavf_core::mapping::{PavfInputs, StructureMapping};
 use seqavf_core::report::SartSummary;
+use seqavf_core::sweep::{fixpoint_key, solve};
 use seqavf_netlist::exlif;
 use seqavf_netlist::flatten;
 use seqavf_netlist::graph::Netlist;
@@ -386,35 +387,16 @@ fn cmd_sart(args: &Args) -> Result<(), String> {
         Some(dir) => {
             let path = fixpoint::artifact_path(
                 std::path::Path::new(dir),
-                fixpoint::artifact_key(
-                    netlist.design_name(),
-                    &mapping.to_text(&netlist),
-                    &engine.config().result_key(),
-                ),
+                fixpoint_key(&netlist, &mapping, engine.config()),
             );
             let stored = fixpoint::load(&path).unwrap_or_default();
-            let (result, warm) = match &stored {
-                Some(s) => engine.run_warm_traced(&inputs, s, &obs.collector),
-                None => (
-                    engine.run_traced(&inputs, &obs.collector),
-                    WarmStatus::Cold("no usable fixpoint artifact"),
-                ),
-            };
-            match warm {
-                WarmStatus::Warm {
-                    seeded_fubs,
-                    dirty_fubs,
-                } => {
-                    obs.collector.count("relax.warmstart.hit", 1);
-                    println!(
-                        "warm start: seeded {seeded_fubs} FUBs from stored fixpoint, {dirty_fubs} dirty"
-                    );
-                }
-                WarmStatus::Cold(reason) => {
-                    obs.collector.count("relax.warmstart.miss", 1);
-                    println!("warm start: cold solve ({reason})");
-                }
-            }
+            let (result, warm, _) = solve(
+                &engine,
+                &inputs,
+                stored.as_ref().ok_or("no usable fixpoint artifact"),
+                &obs.collector,
+            );
+            print_warm_status(warm);
             // Refresh the artifact so the next edit of this design
             // re-solves warm against today's fixpoint.
             if let Some(captured) = engine.capture_fixpoint(&result) {
@@ -623,15 +605,8 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
         CacheStatus::Miss => "cache miss (relaxed fresh, artifact stored)",
         CacheStatus::Hit => "cache hit (relaxation skipped)",
     };
-    match outcome.warm {
-        Some(WarmStatus::Warm {
-            seeded_fubs,
-            dirty_fubs,
-        }) => println!(
-            "warm start: seeded {seeded_fubs} FUBs from stored fixpoint, {dirty_fubs} dirty"
-        ),
-        Some(WarmStatus::Cold(reason)) => println!("warm start: cold solve ({reason})"),
-        None => {}
+    if let Some(warm) = outcome.warm {
+        print_warm_status(warm);
     }
     match outcome.patch {
         Some(PatchStatus::Patched(st)) => println!(
@@ -694,9 +669,22 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     obs.finish("sweep")
 }
 
+/// Reports which solve path a `--warm-start` run took.
+fn print_warm_status(warm: WarmStatus) {
+    match warm {
+        WarmStatus::Warm {
+            seeded_fubs,
+            dirty_fubs,
+        } => println!(
+            "warm start: seeded {seeded_fubs} FUBs from stored fixpoint, {dirty_fubs} dirty"
+        ),
+        WarmStatus::Cold(reason) => println!("warm start: cold solve ({reason})"),
+    }
+}
+
 fn cmd_validate(args: &Args) -> Result<(), String> {
     use seqavf_beam::validate::{run_validate_traced, Sampling, ValidateConfig};
-    use seqavf_core::sweep::{obtain_compiled_traced, CacheStatus};
+    use seqavf_core::sweep::{obtain_compiled_warm_traced, CacheStatus};
     use seqavf_sfi::campaign::{Kernel, TrialConfig};
     args.validate(
         &[
@@ -753,12 +741,13 @@ fn cmd_validate(args: &Args) -> Result<(), String> {
     // Analytical side: the per-bit SART AVFs, via the same compiled-DAG
     // artifact cache the sweep uses (a prior `sweep --cache-dir` run makes
     // this a pure cache hit).
-    let (compiled, cache) = obtain_compiled_traced(
+    let (compiled, cache, _, _) = obtain_compiled_warm_traced(
         &netlist,
         &mapping,
         &config,
         &inputs,
         args.get("cache-dir").map(std::path::Path::new),
+        None,
         loops.as_ref(),
         &obs.collector,
     )?;

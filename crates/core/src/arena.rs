@@ -82,7 +82,7 @@ impl PartialEq for TermTable {
 }
 
 fn term_hash(kind: &TermKind) -> u64 {
-    let mut h = crate::sweep::Fnv1a64::new();
+    let mut h = seqavf_netlist::Fnv1a64::new();
     match kind {
         TermKind::ReadPort(s) => {
             h.update(&[0]);

@@ -1104,10 +1104,10 @@ struct LaneOps {
 }
 
 /// One workload's summary fold over the sequential slots, as produced by
-/// [`CompiledSweep::evaluate_seq_stats_traced`]. The fold is the sweep
-/// driver's: left fold in the caller's index order, `sum` seeded with
-/// `+0.0`, `min`/`max` with the infinities (so an empty index set yields
-/// the identities — callers map that to their own empty-row convention).
+/// [`CompiledSweep::evaluate_seq_stats_traced`] or [`SeqStats::of`]: left
+/// fold in the caller's index order, `sum` seeded with `+0.0`,
+/// `min`/`max` with the infinities. [`SeqStats::finish`] turns it into
+/// the row summary every sweep and service row reports.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeqStats {
     /// Running sum of sequential-node AVFs.
@@ -1126,13 +1126,33 @@ impl SeqStats {
         max: f64::NEG_INFINITY,
     };
 
-    /// Folds one node's AVF in — the exact `+=`/`min`/`max` sequence the
-    /// sweep driver applies to materialized rows.
+    /// Folds one node's AVF in: `+=`, then `min`, then `max`.
     #[inline]
     pub fn fold(&mut self, v: f64) {
         self.sum += v;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
+    }
+
+    /// The fold of a materialized AVF row over the indices in `seq`, in
+    /// order — bit-identical to the fold
+    /// [`CompiledSweep::evaluate_seq_stats_traced`] runs on the fly.
+    pub fn of(row: &[f64], seq: &[usize]) -> SeqStats {
+        let mut st = SeqStats::IDENTITY;
+        for &i in seq {
+            st.fold(row[i]);
+        }
+        st
+    }
+
+    /// The `(mean, min, max)` summary of `n` folded values; an empty set
+    /// summarizes to `(0, 0, 0)`.
+    pub fn finish(&self, n: usize) -> (f64, f64, f64) {
+        if n == 0 {
+            (0.0, 0.0, 0.0)
+        } else {
+            (self.sum / n as f64, self.min, self.max)
+        }
     }
 }
 
@@ -1178,6 +1198,16 @@ mod tests {
         let result = engine.run(&fig7_inputs());
         let compiled = CompiledSweep::compile(&result, &nl);
         (nl, result, compiled)
+    }
+
+    #[test]
+    fn seq_stats_finish_is_mean_min_max_and_zero_when_empty() {
+        let row = [0.5, 0.25, 1.0, 0.75];
+        let st = SeqStats::of(&row, &[3, 0, 1]);
+        assert_eq!(st.finish(3), ((0.75 + 0.5 + 0.25) / 3.0, 0.25, 0.75));
+        let empty = SeqStats::of(&row, &[]);
+        assert_eq!(empty, SeqStats::IDENTITY);
+        assert_eq!(empty.finish(0), (0.0, 0.0, 0.0));
     }
 
     #[test]
@@ -1325,11 +1355,7 @@ mod tests {
             let stats = compiled.evaluate_seq_stats_traced(&tables, &seq, 2, &obs);
             assert_eq!(stats.len(), tables.len());
             for (k, t) in tables.iter().enumerate() {
-                let row = compiled.evaluate(t);
-                let mut want = SeqStats::IDENTITY;
-                for &i in &seq {
-                    want.fold(row[i]);
-                }
+                let want = SeqStats::of(&compiled.evaluate(t), &seq);
                 assert_eq!(stats[k].sum.to_bits(), want.sum.to_bits(), "table {k}");
                 assert_eq!(stats[k].min.to_bits(), want.min.to_bits(), "table {k}");
                 assert_eq!(stats[k].max.to_bits(), want.max.to_bits(), "table {k}");

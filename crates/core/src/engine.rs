@@ -311,33 +311,12 @@ impl<'nl> SartEngine<'nl> {
     /// degrades to a full cold solve — the returned [`WarmStatus`] says
     /// which path ran and why. Results are bit-identical to a cold run
     /// either way.
-    pub fn run_warm_traced(
-        &self,
-        inputs: &PavfInputs,
-        stored: &StoredFixpoint,
-        obs: &Collector,
-    ) -> (SartResult, WarmStatus) {
-        let (result, status, _) = self.run_warm_inner(inputs, stored, false, obs);
-        (result, status)
-    }
-
-    /// [`SartEngine::run_warm_traced`] without the small-design thread
-    /// clamp, mirroring [`SartEngine::run_exact`] for equivalence tests.
-    pub fn run_warm_exact(
-        &self,
-        inputs: &PavfInputs,
-        stored: &StoredFixpoint,
-    ) -> (SartResult, WarmStatus) {
-        let (result, status, _) = self.run_warm_inner(inputs, stored, true, &Collector::disabled());
-        (result, status)
-    }
-
-    /// [`SartEngine::run_warm_traced`] that additionally reports, per FUB,
-    /// whether the FUB is *patch-clean*: it was seeded from the stored
-    /// fixpoint AND the relaxation left every one of its annotations at
-    /// the seeded value. A patch-clean FUB's closed forms are exactly the
-    /// previous revision's, so a compiled sweep DAG built for that
-    /// revision can keep its ops verbatim (see
+    ///
+    /// Also reports, per FUB, whether the FUB is *patch-clean*: it was
+    /// seeded from the stored fixpoint AND the relaxation left every one
+    /// of its annotations at the seeded value. A patch-clean FUB's closed
+    /// forms are exactly the previous revision's, so a compiled sweep DAG
+    /// built for that revision can keep its ops verbatim (see
     /// [`crate::compile::CompiledSweep::patch_traced`]). The mask is
     /// `None` when the solve fell back to cold.
     pub fn run_warm_patch_traced(

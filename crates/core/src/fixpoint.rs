@@ -29,10 +29,10 @@ use seqavf_netlist::snapshot::{
     open_sealed, put_section, put_u64, put_varint, seal, Cursor, SnapshotError, FIXPOINT_MAGIC,
     FIXPOINT_MAGIC_FAMILY,
 };
+use seqavf_netlist::Fnv1a64;
 
 use crate::arena::{SetId, TermId, TermKind};
 use crate::engine::SartResult;
-use crate::sweep::Fnv1a64;
 use crate::walk::{BoundaryDeps, Propagator};
 
 const SEC_META: u8 = 1;
@@ -387,21 +387,8 @@ pub fn mapping_digest(nl: &Netlist, mapping: &crate::mapping::StructureMapping) 
     h.finish()
 }
 
-/// Cache key of a fixpoint artifact. Deliberately built from the design
-/// *name*, mapping text, and config `result_key` — not the netlist
-/// content digest — so an edited design resolves to the same file and
-/// finds its predecessor's fixpoint there.
-pub fn artifact_key(design_name: &str, mapping_text: &str, result_key: &str) -> u64 {
-    let mut h = Fnv1a64::new();
-    h.update(design_name.as_bytes());
-    h.update(&[0]);
-    h.update(mapping_text.as_bytes());
-    h.update(&[0]);
-    h.update(result_key.as_bytes());
-    h.finish()
-}
-
-/// The artifact path for a key inside a warm-start directory.
+/// The artifact path for a key ([`crate::sweep::fixpoint_key`]) inside a
+/// warm-start directory.
 pub fn artifact_path(dir: &Path, key: u64) -> PathBuf {
     dir.join(format!("fixpoint-{key:016x}.bin"))
 }

@@ -20,20 +20,29 @@
 //!    — while any netlist edit, mapping edit, or result-affecting
 //!    configuration change produces a different key and a fresh
 //!    relaxation.
+//! 3. The **edit ladder** — [`solve`] (warm from a stored fixpoint, or
+//!    cold) then [`compile_or_patch`] (patch the previous revision's DAG,
+//!    or recompile) — is the one route from an edited design to its
+//!    compiled DAG. `sweep`/`validate`, `sart --warm-start` and the
+//!    resident server all take it and differ only in where they keep
+//!    fixpoints and DAGs.
 //!
 //! Observability: compilation records a `sweep.compile` span, every
 //! workload evaluation a `sweep.eval` span, and cache consultations bump
-//! the `sweep.cache.hit` / `sweep.cache.miss` counters.
+//! the `sweep.cache.hit` / `sweep.cache.miss` counters; the ladder counts
+//! `relax.warmstart.{hit,miss}` and `sweep.patch.{hit,full_rebuild}`.
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use seqavf_netlist::graph::Netlist;
 use seqavf_netlist::scc::LoopAnalysis;
+use seqavf_netlist::Fnv1a64;
 use seqavf_obs::Collector;
 
-use crate::compile::{CompileStats, CompiledSweep, PatchStats};
+use crate::compile::{CompileStats, CompiledSweep, PatchStats, SeqStats};
 use crate::engine::{SartConfig, SartEngine, SartResult, WarmStatus};
-use crate::fixpoint;
+use crate::fixpoint::{self, StoredFixpoint};
 use crate::mapping::{PavfInputs, StructureMapping};
 
 /// The sweep-cache key: a 64-bit FNV-1a hash over the netlist's semantic
@@ -63,7 +72,7 @@ pub fn cache_key(nl: &Netlist, mapping: &StructureMapping, config: &SartConfig) 
 /// the fixpoint artifact records the old content digest
 /// ([`crate::fixpoint::StoredFixpoint::content_digest`]), while mapping
 /// text and result key are revision-independent for a graph edit.
-pub fn cache_key_parts(content_digest: u64, mapping_text: &str, result_key: &str) -> u64 {
+fn cache_key_parts(content_digest: u64, mapping_text: &str, result_key: &str) -> u64 {
     let mut h = Fnv1a64::new();
     h.update(&content_digest.to_le_bytes());
     h.update(&[0]);
@@ -71,26 +80,6 @@ pub fn cache_key_parts(content_digest: u64, mapping_text: &str, result_key: &str
     h.update(&[0]);
     h.update(result_key.as_bytes());
     h.finish()
-}
-
-/// Incremental FNV-1a (64-bit).
-pub(crate) struct Fnv1a64(u64);
-
-impl Fnv1a64 {
-    pub(crate) fn new() -> Self {
-        Fnv1a64(0xcbf2_9ce4_8422_2325)
-    }
-
-    pub(crate) fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    pub(crate) fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 /// An on-disk cache of compiled sweep artifacts.
@@ -153,15 +142,15 @@ pub enum CacheStatus {
     Hit,
 }
 
-/// How a cache-miss sweep rebuilt its compiled DAG after an edit, when a
+/// How [`compile_or_patch`] built the DAG after an edit, when a
 /// warm-started relaxation made incremental patching possible at all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PatchStatus {
-    /// The previous revision's cached DAG was patched in place of a full
+    /// The previous revision's DAG was patched in place of a full
     /// recompile ([`CompiledSweep::patch_traced`]).
     Patched(PatchStats),
-    /// Patching was attempted but fell back to a full recompile, with the
-    /// first reason encountered on the fallback ladder.
+    /// The DAG was recompiled from scratch instead, for the reason given:
+    /// every FUB dirty, no previous DAG, or a patch precondition failed.
     Rebuilt(&'static str),
 }
 
@@ -215,7 +204,7 @@ pub struct SweepOutcome {
 
 /// Runs a multi-workload sweep: obtain the compiled DAG (cache or fresh
 /// relaxation seeded by `base_inputs`), then evaluate every named workload
-/// table. See [`run_sweep_traced`] for the observability variant.
+/// table. See [`run_sweep_with_loops_traced`] for the observability variant.
 pub fn run_sweep(
     nl: &Netlist,
     mapping: &StructureMapping,
@@ -224,78 +213,132 @@ pub fn run_sweep(
     workloads: &[(String, PavfInputs)],
     opts: &SweepOptions,
 ) -> Result<SweepOutcome, String> {
-    run_sweep_traced(
+    run_sweep_with_loops_traced(
         nl,
         mapping,
         config,
         base_inputs,
         workloads,
         opts,
+        None,
         &Collector::disabled(),
     )
 }
 
-/// [`run_sweep`] with observability (spans `sweep.compile` / `sweep.eval`,
-/// counters `sweep.cache.hit` / `sweep.cache.miss`, plus the usual
-/// relaxation telemetry on a miss).
-pub fn run_sweep_traced(
-    nl: &Netlist,
-    mapping: &StructureMapping,
-    config: &SartConfig,
-    base_inputs: &PavfInputs,
-    workloads: &[(String, PavfInputs)],
-    opts: &SweepOptions,
-    obs: &Collector,
-) -> Result<SweepOutcome, String> {
-    run_sweep_with_loops_traced(nl, mapping, config, base_inputs, workloads, opts, None, obs)
+/// The key a design's stored fixpoint lives under, on disk
+/// ([`fixpoint::artifact_path`]) or resident. Deliberately built from the
+/// design *name*, mapping text, and config `result_key` — not the netlist
+/// content digest — so an edited design resolves to the same entry and
+/// finds its predecessor's fixpoint there.
+pub fn fixpoint_key(nl: &Netlist, mapping: &StructureMapping, config: &SartConfig) -> u64 {
+    let mut h = Fnv1a64::new();
+    h.update(nl.design_name().as_bytes());
+    h.update(&[0]);
+    h.update(mapping.to_text(nl).as_bytes());
+    h.update(&[0]);
+    h.update(config.result_key().as_bytes());
+    h.finish()
 }
 
-/// Obtains the compiled DAG for a design: from the artifact cache when
-/// `cache_dir` holds a valid artifact for the (netlist, mapping, config)
-/// key, otherwise via a fresh relaxation (seeded by `base_inputs`) that
-/// is stored back when the cache is enabled.
-///
-/// This is the compile-or-cache half of [`run_sweep_with_loops_traced`],
-/// split out so other consumers of the analytical result — the `validate`
-/// flow's SART side in particular — share the sweep's artifacts instead
-/// of re-relaxing designs the sweep already compiled.
-#[allow(clippy::too_many_arguments)]
-pub fn obtain_compiled_traced(
-    nl: &Netlist,
-    mapping: &StructureMapping,
-    config: &SartConfig,
+/// Step one of the edit ladder: relax `engine`, warm from `stored` when
+/// the caller has a fixpoint for this design, cold otherwise (`Err`
+/// carries the caller's reason for having none). Counts
+/// `relax.warmstart.hit` or `relax.warmstart.miss`. Returns the result,
+/// the path taken, and the patch-clean FUB mask of a warm solve (see
+/// [`SartEngine::run_warm_patch_traced`]). Capturing and storing the new
+/// fixpoint is left to the caller, which owns the storage.
+pub fn solve(
+    engine: &SartEngine<'_>,
     base_inputs: &PavfInputs,
-    cache_dir: Option<&Path>,
-    loops: Option<&LoopAnalysis>,
+    stored: Result<&StoredFixpoint, &'static str>,
     obs: &Collector,
-) -> Result<(CompiledSweep, CacheStatus), String> {
-    let (compiled, cache, _, _) = obtain_compiled_warm_traced(
-        nl,
-        mapping,
-        config,
-        base_inputs,
-        cache_dir,
-        None,
-        loops,
-        obs,
-    )?;
-    Ok((compiled, cache))
+) -> (SartResult, WarmStatus, Option<Vec<bool>>) {
+    let solved = match stored {
+        Ok(s) => engine.run_warm_patch_traced(base_inputs, s, obs),
+        Err(reason) => (
+            engine.run_traced(base_inputs, obs),
+            WarmStatus::Cold(reason),
+            None,
+        ),
+    };
+    match solved.1 {
+        WarmStatus::Warm { .. } => obs.count("relax.warmstart.hit", 1),
+        WarmStatus::Cold(_) => obs.count("relax.warmstart.miss", 1),
+    }
+    solved
 }
 
-/// [`obtain_compiled_traced`] with an optional warm-start directory: when
-/// a fresh relaxation is needed and `warm_dir` holds a fixpoint artifact
-/// for this design (by name), mapping, and config, the relaxation is
-/// seeded from it (`relax.warmstart.hit`); any artifact problem falls
-/// back to a cold solve (`relax.warmstart.miss`). Either way, a converged
-/// fresh solve refreshes the artifact so the *next* edit starts warm.
+/// Step two of the edit ladder: lower `result` to a compiled DAG,
+/// patching the previous revision's DAG when a warm [`solve`] left some
+/// FUB patch-clean ([`CompiledSweep::patch_traced`] re-lowers only the
+/// dirty cone). `previous(old_key, old_node_count)` fetches that DAG from
+/// wherever the caller keeps it; the key is [`cache_key`] of the
+/// revision `stored` was captured from.
 ///
-/// When the warm solve succeeds *and* the cache still holds the previous
-/// revision's compiled DAG (addressed via the fixpoint artifact's stored
-/// content digest, [`cache_key_parts`]), the DAG is **patched** instead
-/// of recompiled — [`CompiledSweep::patch_traced`] re-lowers only the
-/// dirty cone — and the `sweep.patch.hit` counter bumps. Any patch
-/// precondition failure recompiles from scratch (`sweep.patch.
-/// full_rebuild`); the returned [`PatchStatus`] reports which happened.
+/// Without a stored fixpoint and clean mask no patch is attemptable and
+/// the status is `None`. Otherwise the DAG is patched (`sweep.patch.hit`)
+/// or, when every FUB is dirty, the previous DAG is missing, or the patch
+/// refuses, compiled from scratch (`sweep.patch.full_rebuild`) — both
+/// bit-identical to a cold compile.
+pub fn compile_or_patch(
+    result: &SartResult,
+    nl: &Netlist,
+    mapping: &StructureMapping,
+    stored: Option<&StoredFixpoint>,
+    clean: Option<&[bool]>,
+    previous: impl FnOnce(u64, usize) -> Option<Arc<CompiledSweep>>,
+    obs: &Collector,
+) -> (CompiledSweep, Option<PatchStatus>) {
+    let (Some(fp), Some(clean)) = (stored, clean) else {
+        return (CompiledSweep::compile_traced(result, nl, obs), None);
+    };
+    let attempt = if clean.contains(&true) {
+        let old_key = cache_key_parts(
+            fp.content_digest,
+            &mapping.to_text(nl),
+            &result.config.result_key(),
+        );
+        previous(old_key, fp.node_count)
+            .ok_or("no DAG for the previous revision")
+            .and_then(|old| {
+                let layout: Vec<(&str, usize)> = fp
+                    .fubs
+                    .iter()
+                    .map(|f| (f.name.as_str(), f.fwd.len()))
+                    .collect();
+                old.patch_traced(result, nl, &layout, clean, obs)
+            })
+    } else {
+        Err("every FUB dirty")
+    };
+    match attempt {
+        Ok((patched, stats)) => {
+            obs.count("sweep.patch.hit", 1);
+            (patched, Some(PatchStatus::Patched(stats)))
+        }
+        Err(reason) => {
+            obs.count("sweep.patch.full_rebuild", 1);
+            (
+                CompiledSweep::compile_traced(result, nl, obs),
+                Some(PatchStatus::Rebuilt(reason)),
+            )
+        }
+    }
+}
+
+/// Obtains the compiled DAG for a design from the on-disk stores: the
+/// artifact cache when `cache_dir` holds a valid artifact for the
+/// (netlist, mapping, config) key (`sweep.cache.hit`), otherwise a fresh
+/// relaxation seeded by `base_inputs` whose DAG is stored back
+/// (`sweep.cache.miss`). The `validate` flow shares the sweep's artifacts
+/// through this function instead of re-relaxing designs the sweep
+/// already compiled.
+///
+/// With `warm_dir`, the relaxation runs the edit ladder: [`solve`] warm
+/// from the directory's fixpoint artifact for this design, refresh that
+/// artifact so the *next* edit starts warm, then [`compile_or_patch`]
+/// against the previous revision's DAG in `cache_dir`. Without
+/// `warm_dir` it relaxes cold and captures no fixpoint.
 #[allow(clippy::too_many_arguments)]
 pub fn obtain_compiled_warm_traced(
     nl: &Netlist,
@@ -315,118 +358,71 @@ pub fn obtain_compiled_warm_traced(
     ),
     String,
 > {
-    type Solved = (
-        SartResult,
-        Option<WarmStatus>,
-        Option<fixpoint::StoredFixpoint>,
-        Option<Vec<bool>>,
-    );
-    let solve = || -> Solved {
-        let engine = match loops {
-            Some(l) => SartEngine::new_with_loops_traced(nl, mapping, config.clone(), l, obs),
-            None => SartEngine::new_traced(nl, mapping, config.clone(), obs),
-        };
-        match warm_dir {
-            None => (engine.run_traced(base_inputs, obs), None, None, None),
-            Some(dir) => {
-                let path = fixpoint::artifact_path(
-                    dir,
-                    fixpoint::artifact_key(
-                        nl.design_name(),
-                        &mapping.to_text(nl),
-                        &config.result_key(),
-                    ),
-                );
-                let stored = fixpoint::load(&path).unwrap_or_default();
-                let (result, warm, clean) = match &stored {
-                    Some(s) => engine.run_warm_patch_traced(base_inputs, s, obs),
-                    None => (
-                        engine.run_traced(base_inputs, obs),
-                        WarmStatus::Cold("no usable fixpoint artifact"),
-                        None,
-                    ),
-                };
-                match warm {
-                    WarmStatus::Warm { .. } => obs.count("relax.warmstart.hit", 1),
-                    WarmStatus::Cold(_) => obs.count("relax.warmstart.miss", 1),
-                }
-                // Best-effort refresh: the next run should warm-start from
-                // *this* design's fixpoint.
-                if let Some(captured) = engine.capture_fixpoint(&result) {
-                    let _ = fixpoint::store(&path, &captured);
-                }
-                (result, Some(warm), stored, clean)
-            }
-        }
+    let cache = match cache_dir {
+        Some(dir) => Some((SweepCache::open(dir)?, cache_key(nl, mapping, config))),
+        None => None,
     };
-    match cache_dir {
+    if let Some((store, key)) = &cache {
+        if let Some(c) = store.load(*key, config, nl.node_count()) {
+            obs.count("sweep.cache.hit", 1);
+            return Ok((c, CacheStatus::Hit, None, None));
+        }
+        obs.count("sweep.cache.miss", 1);
+    }
+    let engine = match loops {
+        Some(l) => SartEngine::new_with_loops_traced(nl, mapping, config.clone(), l, obs),
+        None => SartEngine::new_traced(nl, mapping, config.clone(), obs),
+    };
+    let (compiled, warm, patch) = match warm_dir {
         None => {
-            let (result, warm, _, _) = solve();
-            Ok((
-                CompiledSweep::compile_traced(&result, nl, obs),
-                CacheStatus::Disabled,
-                warm,
-                None,
-            ))
+            let result = engine.run_traced(base_inputs, obs);
+            (CompiledSweep::compile_traced(&result, nl, obs), None, None)
         }
         Some(dir) => {
-            let store = SweepCache::open(dir)?;
-            let key = cache_key(nl, mapping, config);
-            match store.load(key, config, nl.node_count()) {
-                Some(c) => {
-                    obs.count("sweep.cache.hit", 1);
-                    Ok((c, CacheStatus::Hit, None, None))
-                }
-                None => {
-                    obs.count("sweep.cache.miss", 1);
-                    let (result, warm, stored, clean) = solve();
-                    let mut patch = None;
-                    let compiled = match (&warm, &stored, &clean) {
-                        (Some(WarmStatus::Warm { .. }), Some(s), Some(mask)) => {
-                            let attempt = store
-                                .load(
-                                    cache_key_parts(
-                                        s.content_digest,
-                                        &mapping.to_text(nl),
-                                        &config.result_key(),
-                                    ),
-                                    config,
-                                    s.node_count,
-                                )
-                                .ok_or("no cached DAG for the previous revision")
-                                .and_then(|old| {
-                                    let layout: Vec<(&str, usize)> = s
-                                        .fubs
-                                        .iter()
-                                        .map(|f| (f.name.as_str(), f.fwd.len()))
-                                        .collect();
-                                    old.patch_traced(&result, nl, &layout, mask, obs)
-                                });
-                            match attempt {
-                                Ok((patched, stats)) => {
-                                    obs.count("sweep.patch.hit", 1);
-                                    patch = Some(PatchStatus::Patched(stats));
-                                    patched
-                                }
-                                Err(reason) => {
-                                    obs.count("sweep.patch.full_rebuild", 1);
-                                    patch = Some(PatchStatus::Rebuilt(reason));
-                                    CompiledSweep::compile_traced(&result, nl, obs)
-                                }
-                            }
-                        }
-                        _ => CompiledSweep::compile_traced(&result, nl, obs),
-                    };
-                    store.store(key, &compiled)?;
-                    Ok((compiled, CacheStatus::Miss, warm, patch))
-                }
+            let path = fixpoint::artifact_path(dir, fixpoint_key(nl, mapping, config));
+            let stored = fixpoint::load(&path).unwrap_or_default();
+            let (result, warm, clean) = solve(
+                &engine,
+                base_inputs,
+                stored.as_ref().ok_or("no usable fixpoint artifact"),
+                obs,
+            );
+            // Best-effort refresh: the next run should warm-start from
+            // *this* design's fixpoint.
+            if let Some(captured) = engine.capture_fixpoint(&result) {
+                let _ = fixpoint::store(&path, &captured);
             }
+            // Without a cache directory no previous revision's DAG can
+            // exist, so there is nothing to patch from.
+            let (compiled, patch) = match &cache {
+                None => (CompiledSweep::compile_traced(&result, nl, obs), None),
+                Some((store, _)) => compile_or_patch(
+                    &result,
+                    nl,
+                    mapping,
+                    stored.as_ref(),
+                    clean.as_deref(),
+                    |old_key, old_nodes| store.load(old_key, config, old_nodes).map(Arc::new),
+                    obs,
+                ),
+            };
+            (compiled, Some(warm), patch)
         }
-    }
+    };
+    let status = match &cache {
+        Some((store, key)) => {
+            store.store(*key, &compiled)?;
+            CacheStatus::Miss
+        }
+        None => CacheStatus::Disabled,
+    };
+    Ok((compiled, status, warm, patch))
 }
 
-/// [`run_sweep_traced`] with an optional precomputed loop analysis (e.g.
-/// one restored from a graph snapshot): when present, a fresh relaxation
+/// [`run_sweep`] with observability (spans `sweep.compile` / `sweep.eval`,
+/// counters `sweep.cache.{hit,miss}`, plus the usual relaxation telemetry
+/// on a miss) and an optional precomputed loop analysis (e.g. one
+/// restored from a graph snapshot): when present, a fresh relaxation
 /// reuses it instead of re-running the SCC pass.
 #[allow(clippy::too_many_arguments)]
 pub fn run_sweep_with_loops_traced(
@@ -457,20 +453,7 @@ pub fn run_sweep_with_loops_traced(
         .iter()
         .zip(avfs)
         .map(|((name, _), node_avfs)| {
-            let mut sum = 0.0;
-            let mut min = f64::INFINITY;
-            let mut max = f64::NEG_INFINITY;
-            for &i in &seq {
-                let v = node_avfs[i];
-                sum += v;
-                min = min.min(v);
-                max = max.max(v);
-            }
-            let (mean, min, max) = if seq.is_empty() {
-                (0.0, 0.0, 0.0)
-            } else {
-                (sum / seq.len() as f64, min, max)
-            };
+            let (mean, min, max) = SeqStats::of(&node_avfs, &seq).finish(seq.len());
             WorkloadAvf {
                 workload: name.clone(),
                 mean_seq_avf: mean,
@@ -492,28 +475,99 @@ pub fn run_sweep_with_loops_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use seqavf_netlist::exlif;
+    use seqavf_netlist::flatten::parse_netlist;
+    use seqavf_netlist::synth::{generate, SynthConfig};
 
+    /// The ladder end to end on a one-gate edit: `solve` counts each warm
+    /// start once, `compile_or_patch` asks `previous` for exactly the key
+    /// and node count the stored revision's DAG was cached under, patches
+    /// when that DAG is there, rebuilds with a reason when it is not, and
+    /// reports no patch status after a cold solve — every DAG
+    /// bit-identical to a cold compile.
     #[test]
-    fn fnv_matches_reference_vectors() {
-        // Standard FNV-1a 64 test vectors.
-        let mut h = Fnv1a64::new();
-        h.update(b"");
-        assert_eq!(h.finish(), 0xcbf2_9ce4_8422_2325);
-        let mut h = Fnv1a64::new();
-        h.update(b"a");
-        assert_eq!(h.finish(), 0xaf63_dc4c_8601_ec8c);
-        let mut h = Fnv1a64::new();
-        h.update(b"foobar");
-        assert_eq!(h.finish(), 0x85944171f73967e8);
-    }
+    fn ladder_patches_from_the_previous_revision_or_rebuilds() {
+        let design = generate(&SynthConfig::xeon_like(7));
+        let text = exlif::write(&design.netlist);
+        let nl0 = parse_netlist(&text).unwrap();
+        let nl1 = parse_netlist(&text.replacen(".gate and ", ".gate or ", 1)).unwrap();
+        let mapping = StructureMapping::from_pairs(design.meta.structure_map.clone());
+        let config = SartConfig::default();
+        let mut base = PavfInputs::new();
+        base.set_port("uops_executed", 0.21, 0.34);
+        let obs = Collector::new();
 
-    #[test]
-    fn incremental_update_equals_one_shot() {
-        let mut a = Fnv1a64::new();
-        a.update(b"hello ");
-        a.update(b"world");
-        let mut b = Fnv1a64::new();
-        b.update(b"hello world");
-        assert_eq!(a.finish(), b.finish());
+        let engine0 = SartEngine::new(&nl0, &mapping, config.clone());
+        let (r0, warm0, clean0) = solve(&engine0, &base, Err("none stored"), &obs);
+        assert_eq!(warm0, WarmStatus::Cold("none stored"));
+        assert!(clean0.is_none());
+        let stored = engine0.capture_fixpoint(&r0).expect("converged");
+        let old = Arc::new(CompiledSweep::compile(&r0, &nl0));
+
+        let engine1 = SartEngine::new(&nl1, &mapping, config.clone());
+        let (r1, warm1, clean1) = solve(&engine1, &base, Ok(&stored), &obs);
+        assert!(matches!(warm1, WarmStatus::Warm { .. }), "{warm1:?}");
+        let clean1 = clean1.expect("a warm solve reports the clean mask");
+
+        let mut asked = None;
+        let (patched, status) = compile_or_patch(
+            &r1,
+            &nl1,
+            &mapping,
+            Some(&stored),
+            Some(&clean1),
+            |key, nodes| {
+                asked = Some((key, nodes));
+                Some(Arc::clone(&old))
+            },
+            &obs,
+        );
+        assert_eq!(
+            asked,
+            Some((cache_key(&nl0, &mapping, &config), nl0.node_count()))
+        );
+        assert!(
+            matches!(status, Some(PatchStatus::Patched(_))),
+            "{status:?}"
+        );
+
+        let (rebuilt, status) = compile_or_patch(
+            &r1,
+            &nl1,
+            &mapping,
+            Some(&stored),
+            Some(&clean1),
+            |_, _| None,
+            &obs,
+        );
+        assert_eq!(
+            status,
+            Some(PatchStatus::Rebuilt("no DAG for the previous revision"))
+        );
+
+        let (compiled, status) = compile_or_patch(
+            &r1,
+            &nl1,
+            &mapping,
+            None,
+            None,
+            |_, _| panic!("a cold solve has no previous revision to patch"),
+            &obs,
+        );
+        assert_eq!(status, None);
+
+        let want = CompiledSweep::compile(&r1, &nl1).evaluate(&base);
+        for dag in [&patched, &rebuilt, &compiled] {
+            let got = dag.evaluate(&base);
+            assert!(got
+                .iter()
+                .zip(&want)
+                .all(|(a, b)| a.to_bits() == b.to_bits()));
+        }
+        let report = obs.report();
+        assert_eq!(report.counter("relax.warmstart.hit"), Some(1));
+        assert_eq!(report.counter("relax.warmstart.miss"), Some(1));
+        assert_eq!(report.counter("sweep.patch.hit"), Some(1));
+        assert_eq!(report.counter("sweep.patch.full_rebuild"), Some(1));
     }
 }

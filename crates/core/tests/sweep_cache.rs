@@ -9,7 +9,7 @@ use std::path::{Path, PathBuf};
 
 use seqavf_core::engine::SartConfig;
 use seqavf_core::mapping::{PavfInputs, StructureMapping};
-use seqavf_core::sweep::{cache_key, run_sweep_traced, CacheStatus, SweepOptions};
+use seqavf_core::sweep::{cache_key, run_sweep_with_loops_traced, CacheStatus, SweepOptions};
 use seqavf_netlist::flatten::parse_netlist;
 use seqavf_netlist::graph::Netlist;
 use seqavf_obs::Collector;
@@ -67,7 +67,7 @@ fn sweep(
     dir: &Path,
     obs: &Collector,
 ) -> seqavf_core::sweep::SweepOutcome {
-    run_sweep_traced(
+    run_sweep_with_loops_traced(
         nl,
         &StructureMapping::new(),
         config,
@@ -78,6 +78,7 @@ fn sweep(
             cache_dir: Some(dir.to_path_buf()),
             warm_start: None,
         },
+        None,
         obs,
     )
     .expect("sweep succeeds")
@@ -300,13 +301,14 @@ fn mapping_change_is_a_cache_miss() {
         warm_start: None,
     };
     let run = |mapping: &StructureMapping| {
-        run_sweep_traced(
+        run_sweep_with_loops_traced(
             &nl,
             mapping,
             &config,
             &PavfInputs::new(),
             &workloads(),
             &opts,
+            None,
             &obs,
         )
         .expect("sweep succeeds")
@@ -365,7 +367,9 @@ fn warm_sweep_patches_the_cached_dag_after_an_edit() {
     let obs = Collector::new();
 
     let nl0 = parse_netlist(&base_text).unwrap();
-    let first = run_sweep_traced(&nl0, &mapping, &config, &inputs, &wl, &opts, &obs).unwrap();
+    let first =
+        run_sweep_with_loops_traced(&nl0, &mapping, &config, &inputs, &wl, &opts, None, &obs)
+            .unwrap();
     assert_eq!(first.cache, CacheStatus::Miss);
     assert!(first.patch.is_none(), "first sweep has nothing to patch");
 
@@ -375,7 +379,9 @@ fn warm_sweep_patches_the_cached_dag_after_an_edit() {
         "synthetic design must have an and-gate"
     );
     let nl1 = parse_netlist(&edited_text).unwrap();
-    let second = run_sweep_traced(&nl1, &mapping, &config, &inputs, &wl, &opts, &obs).unwrap();
+    let second =
+        run_sweep_with_loops_traced(&nl1, &mapping, &config, &inputs, &wl, &opts, None, &obs)
+            .unwrap();
     assert_eq!(second.cache, CacheStatus::Miss);
     let st = match second.patch {
         Some(PatchStatus::Patched(st)) => st,
@@ -394,7 +400,7 @@ fn warm_sweep_patches_the_cached_dag_after_an_edit() {
     assert!(report.counter("sweep.patch.nodes_patched").is_some());
 
     // The patched DAG's rows match an independent, cache-less cold sweep.
-    let cold = run_sweep_traced(
+    let cold = run_sweep_with_loops_traced(
         &nl1,
         &mapping,
         &config,
@@ -405,6 +411,7 @@ fn warm_sweep_patches_the_cached_dag_after_an_edit() {
             cache_dir: None,
             warm_start: None,
         },
+        None,
         &Collector::disabled(),
     )
     .unwrap();
@@ -415,7 +422,9 @@ fn warm_sweep_patches_the_cached_dag_after_an_edit() {
     }
 
     // Idempotent re-sweep: plain artifact hit, no patch involved.
-    let third = run_sweep_traced(&nl1, &mapping, &config, &inputs, &wl, &opts, &obs).unwrap();
+    let third =
+        run_sweep_with_loops_traced(&nl1, &mapping, &config, &inputs, &wl, &opts, None, &obs)
+            .unwrap();
     assert_eq!(third.cache, CacheStatus::Hit);
     assert!(third.patch.is_none());
 
@@ -429,5 +438,70 @@ fn warm_sweep_patches_the_cached_dag_after_an_edit() {
     assert!(text.contains("sweep.patch.hit"));
     assert!(text.contains("sweep.patch.nodes_patched"));
     assert!(text.contains("sweep.patch.nodes_orphaned"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An edit that leaves no FUB patch-clean — here a rewrite of the
+/// design's only FUB — goes straight to a full rebuild
+/// (`sweep.patch.full_rebuild`) instead of a patch that would re-lower
+/// everything, and the rows still match a cold sweep bit for bit.
+#[test]
+fn all_dirty_edit_rebuilds_instead_of_patching() {
+    use seqavf_core::engine::WarmStatus;
+    use seqavf_core::sweep::PatchStatus;
+
+    let dir = temp_cache("alldirty");
+    let config = SartConfig::default();
+    let warm_opts = SweepOptions {
+        threads: 2,
+        cache_dir: Some(dir.clone()),
+        warm_start: Some(dir.join("fixpoints")),
+    };
+    let obs = Collector::new();
+    let run = |nl: &Netlist, opts: &SweepOptions, obs: &Collector| {
+        run_sweep_with_loops_traced(
+            nl,
+            &StructureMapping::new(),
+            &config,
+            &PavfInputs::new(),
+            &workloads(),
+            opts,
+            None,
+            obs,
+        )
+        .expect("sweep succeeds")
+    };
+
+    let first = run(&parse_netlist(DESIGN).unwrap(), &warm_opts, &obs);
+    assert!(first.patch.is_none(), "first sweep has nothing to patch");
+
+    let edited = parse_netlist(DESIGN_MUTATED).unwrap();
+    let second = run(&edited, &warm_opts, &obs);
+    assert_eq!(second.cache, CacheStatus::Miss);
+    assert!(
+        matches!(second.warm, Some(WarmStatus::Warm { dirty_fubs: 1, .. })),
+        "the edit must dirty the only FUB: {:?}",
+        second.warm
+    );
+    assert_eq!(second.patch, Some(PatchStatus::Rebuilt("every FUB dirty")));
+    let report = obs.report();
+    assert_eq!(report.counter("sweep.patch.full_rebuild"), Some(1));
+    assert_eq!(report.counter("sweep.patch.hit"), None);
+
+    let cold_opts = SweepOptions {
+        threads: 2,
+        cache_dir: None,
+        warm_start: None,
+    };
+    let cold = run(&edited, &cold_opts, &Collector::disabled());
+    assert_eq!(second.rows.len(), cold.rows.len());
+    for (a, b) in second.rows.iter().zip(&cold.rows) {
+        assert_eq!(a.mean_seq_avf.to_bits(), b.mean_seq_avf.to_bits());
+        assert_eq!(a.min_seq_avf.to_bits(), b.min_seq_avf.to_bits());
+        assert_eq!(a.max_seq_avf.to_bits(), b.max_seq_avf.to_bits());
+        for (x, y) in a.node_avfs.iter().zip(&b.node_avfs) {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

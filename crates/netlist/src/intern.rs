@@ -560,6 +560,11 @@ mod tests {
         let mut h2 = Fnv1a64::new();
         h2.update(b"foobar");
         assert_eq!(h2.finish(), 0x85944171f73967e8);
+        // Streaming: split updates hash like the one-shot input.
+        let mut h3 = Fnv1a64::new();
+        h3.update(b"foo");
+        h3.update(b"bar");
+        assert_eq!(h3.finish(), 0x85944171f73967e8);
     }
 
     #[test]

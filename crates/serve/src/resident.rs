@@ -27,9 +27,11 @@ use std::sync::{Arc, Mutex};
 
 use seqavf_core::compile::{CompiledSweep, SeqStats};
 use seqavf_core::engine::{SartConfig, SartEngine, WarmStatus};
-use seqavf_core::fixpoint::{self, StoredFixpoint};
+use seqavf_core::fixpoint::StoredFixpoint;
 use seqavf_core::mapping::{PavfInputs, StructureMapping};
-use seqavf_core::sweep::{cache_key, cache_key_parts, PatchStatus, SweepCache};
+use seqavf_core::sweep::{
+    cache_key, compile_or_patch, fixpoint_key, solve, PatchStatus, SweepCache,
+};
 use seqavf_netlist::graph::Netlist;
 use seqavf_netlist::scc::{find_loops_traced, LoopAnalysis};
 use seqavf_netlist::{flatten, snapshot, verilog, Fnv1a64};
@@ -121,7 +123,7 @@ pub struct Resident {
     cfg: ResidentConfig,
     graphs: Mutex<Lru<Arc<LoadedDesign>>>,
     sweeps: Mutex<Lru<Arc<CompiledSweep>>>,
-    /// Converged fixpoints, keyed by [`fixpoint::artifact_key`] — which
+    /// Converged fixpoints, keyed by [`fixpoint_key`] — which
     /// deliberately hashes the design *name* (not its content digest),
     /// so an edited revision of the same design resolves to the same
     /// entry and can seed its re-solve from the previous fixpoint.
@@ -129,19 +131,11 @@ pub struct Resident {
     obs: Collector,
 }
 
-/// [`Resident::resolve_sweep`]'s result: the DAG, the residency tier it
-/// came from (`"hit"`/`"miss"`), and — only when this call actually ran
-/// a relaxation — the warm status and walked-node count.
+/// [`Resident::resolve_sweep`]'s result: the DAG; the residency tier it
+/// came from (`"hit"`/`"miss"`); the warm status and walked-node count,
+/// only when this call ran a relaxation; and [`compile_or_patch`]'s
+/// patch status (`None` on a plain compile or residency hit).
 type ResolvedSweep = (
-    Arc<CompiledSweep>,
-    &'static str,
-    Option<(WarmStatus, usize)>,
-);
-
-/// [`ResolvedSweep`] plus how the DAG was built on a fresh relaxation:
-/// `Some(Patched)`/`Some(Rebuilt)` when a previous revision's DAG was
-/// available to patch from, `None` on a plain compile or residency hit.
-type PatchedSweep = (
     Arc<CompiledSweep>,
     &'static str,
     Option<(WarmStatus, usize)>,
@@ -162,8 +156,9 @@ pub fn design_key(text: &str, is_verilog: bool) -> u64 {
 impl Resident {
     /// Creates empty resident state. `obs` receives the service counters
     /// (`serve.graph.{hit,miss}`, `serve.cache.{hit,miss}`,
-    /// `serve.warmstart.{hit,miss}`, `serve.evict.{graph,sweep}`) and all
-    /// engine telemetry.
+    /// `serve.evict.{graph,sweep}`) and all engine and edit-ladder
+    /// telemetry (`relax.warmstart.{hit,miss}`,
+    /// `sweep.patch.{hit,full_rebuild}`).
     pub fn new(cfg: ResidentConfig, obs: Collector) -> Resident {
         let cap = cfg.max_resident;
         Resident {
@@ -223,11 +218,12 @@ impl Resident {
             .clone()
             .unwrap_or_else(|| req.tables[0].inputs.clone());
 
-        let (compiled, sweep_cache, _) = self.resolve_sweep(&design, &mapping, &config, &base)?;
+        let (compiled, sweep_cache, _, _) =
+            self.resolve_sweep(&design, &mapping, &config, &base, None)?;
 
-        // Evaluate the whole batch, then summarize each workload exactly
-        // the way `run_sweep` does so the service's rows are bit-identical
-        // to the `sweep` CLI's. When only summaries are wanted (the warm
+        // Evaluate the whole batch, then summarize each workload with the
+        // `SeqStats` fold `run_sweep` uses, so the service's rows are
+        // bit-identical to the `sweep` CLI's. When only summaries are wanted (the warm
         // hot path), use the compiled DAG's summary fold — same arithmetic
         // in the same order, but it never materializes node-length rows.
         let tables: Vec<PavfInputs> = req.tables.iter().map(|t| t.inputs.clone()).collect();
@@ -236,24 +232,13 @@ impl Resident {
         let include_nodes = req.include_nodes.unwrap_or(false);
         let include_fubs = req.include_fubs.unwrap_or(false);
         let mut fubs: Vec<FubRow> = Vec::new();
-        let summarize = |(sum, min, max): (f64, f64, f64)| {
-            if seq.is_empty() {
-                (0.0, 0.0, 0.0)
-            } else {
-                (sum / seq.len() as f64, min, max)
-            }
-        };
         let rows: Vec<RowOut> = if include_nodes || include_fubs {
             let avfs = compiled.evaluate_many_traced(&tables, self.cfg.threads, &self.obs);
             req.tables
                 .iter()
                 .zip(&avfs)
                 .map(|(t, node_avfs)| {
-                    let mut st = SeqStats::IDENTITY;
-                    for &i in &seq {
-                        st.fold(node_avfs[i]);
-                    }
-                    let (mean, min, max) = summarize((st.sum, st.min, st.max));
+                    let (mean, min, max) = SeqStats::of(node_avfs, &seq).finish(seq.len());
                     if include_fubs {
                         fubs.extend(fub_rows(nl, &t.workload, node_avfs));
                     }
@@ -274,7 +259,7 @@ impl Resident {
                 .iter()
                 .zip(&stats)
                 .map(|(t, st)| {
-                    let (mean, min, max) = summarize((st.sum, st.min, st.max));
+                    let (mean, min, max) = st.finish(seq.len());
                     RowOut {
                         workload: t.workload.clone(),
                         mean_seq_avf: mean,
@@ -391,53 +376,32 @@ impl Resident {
         Ok((nl, loops))
     }
 
-    /// Resolves the compiled sweep DAG for `(design, mapping, config)`,
-    /// relaxing fresh on a full miss. Returns `(dag, "hit"|"miss",
-    /// fresh-relax telemetry)` — the third element is `Some((warm status,
-    /// walked nodes))` only when this call actually ran a relaxation.
+    /// Resolves the compiled sweep DAG for `(design, mapping, config)`:
+    /// the resident LRU, then the disk tier, then a fresh relaxation.
     ///
-    /// A fresh relaxation warm-starts from the resident fixpoint of the
-    /// same `(design name, mapping, config)` identity when one exists —
-    /// typically left behind by the previous revision of an edited
-    /// design — and refreshes that fixpoint entry on success. Every
-    /// engine-level guard (digest mismatch, config mismatch) falls back
-    /// to a cold solve, so the warm path is a latency optimization with
-    /// bit-identical results.
+    /// A fresh relaxation runs the edit ladder ([`solve`], then
+    /// [`compile_or_patch`]) against resident state: it warm-starts from
+    /// the resident fixpoint of the same `(design name, mapping, config)`
+    /// identity — typically left behind by the previous revision of an
+    /// edited design — and refreshes that entry. The previous revision's
+    /// DAG comes from the **patch donor** when given (the superseded
+    /// revision's DAG, keyed by the cache key it was resident under, and
+    /// only trusted when that key is the one the ladder asks for), else
+    /// from the disk tier. Every guard failure falls back to a cold solve
+    /// or a full recompile, bit-identical either way.
+    ///
+    /// The DAG is fully constructed *before* the LRU insert publishes
+    /// it: in-flight evaluations hold their own `Arc` clones of the old
+    /// entry and are never exposed to intermediate state
+    /// (swap-on-publish).
     fn resolve_sweep(
         &self,
         design: &LoadedDesign,
         mapping: &StructureMapping,
         config: &SartConfig,
         base: &PavfInputs,
-    ) -> Result<ResolvedSweep, ApiError> {
-        let (c, tier, fresh, _) =
-            self.resolve_sweep_with_donor(design, mapping, config, base, None)?;
-        Ok((c, tier, fresh))
-    }
-
-    /// [`Resident::resolve_sweep`] with an optional **patch donor**: the
-    /// superseded revision's compiled DAG, keyed by the cache key it was
-    /// resident under. When a full miss warm-starts successfully, the DAG
-    /// is *patched* from the previous revision instead of recompiled —
-    /// donor first, then the disk tier's artifact for the old key, then a
-    /// full recompile ([`CompiledSweep::patch_traced`]'s fallback ladder).
-    /// The donor is only trusted when its key equals the key the stored
-    /// fixpoint's revision would compile to — same content digest,
-    /// mapping, and result-affecting config — so a patch can never graft
-    /// ops from an unrelated artifact.
-    ///
-    /// The patched (or compiled) DAG is fully constructed *before* the
-    /// LRU insert publishes it: in-flight evaluations hold their own
-    /// `Arc` clones of the old entry and are never exposed to
-    /// intermediate state (swap-on-publish).
-    fn resolve_sweep_with_donor(
-        &self,
-        design: &LoadedDesign,
-        mapping: &StructureMapping,
-        config: &SartConfig,
-        base: &PavfInputs,
         donor: Option<(u64, Arc<CompiledSweep>)>,
-    ) -> Result<PatchedSweep, ApiError> {
+    ) -> Result<ResolvedSweep, ApiError> {
         let nl = &design.netlist;
         let key = cache_key(nl, mapping, config);
         if let Some(c) = lock(&self.sweeps).get(key) {
@@ -471,66 +435,37 @@ impl Resident {
             &design.loops,
             &self.obs,
         );
-        let fp_key =
-            fixpoint::artifact_key(nl.design_name(), &mapping.to_text(nl), &config.result_key());
+        let fp_key = fixpoint_key(nl, mapping, config);
         let stored = lock(&self.fixpoints).get(fp_key).map(Arc::clone);
-        let (result, warm, clean) = match &stored {
-            Some(fp) => engine.run_warm_patch_traced(base, fp, &self.obs),
-            None => (
-                engine.run_traced(base, &self.obs),
-                WarmStatus::Cold("no resident fixpoint"),
-                None,
-            ),
-        };
-        match &warm {
-            WarmStatus::Warm { .. } => self.obs.count("serve.warmstart.hit", 1),
-            WarmStatus::Cold(_) => self.obs.count("serve.warmstart.miss", 1),
-        }
+        let (result, warm, clean) = solve(
+            &engine,
+            base,
+            stored.as_deref().ok_or("no resident fixpoint"),
+            &self.obs,
+        );
         let walked = result.outcome.total_walked_nodes();
         if let Some(fp) = engine.capture_fixpoint(&result) {
             lock(&self.fixpoints).insert(fp_key, Arc::new(fp));
         }
-        // Obtain the DAG: patch the previous revision's when the warm
-        // solve proved the dirty cone, else compile from scratch.
-        let mut patch = None;
-        let mut compiled: Option<CompiledSweep> = None;
-        if let (WarmStatus::Warm { .. }, Some(fp), Some(mask)) = (&warm, &stored, &clean) {
-            let old_key = cache_key_parts(
-                fp.content_digest,
-                &mapping.to_text(nl),
-                &config.result_key(),
-            );
-            let old = donor
-                .filter(|(k, _)| *k == old_key)
-                .map(|(_, dag)| dag)
-                .or_else(|| {
-                    disk.as_ref()
-                        .and_then(|s| s.load(old_key, config, fp.node_count))
-                        .map(Arc::new)
-                });
-            let layout: Vec<(&str, usize)> = fp
-                .fubs
-                .iter()
-                .map(|f| (f.name.as_str(), f.fwd.len()))
-                .collect();
-            let attempt = old
-                .ok_or("no DAG resident or on disk for the previous revision")
-                .and_then(|dag| dag.patch_traced(&result, nl, &layout, mask, &self.obs));
-            match attempt {
-                Ok((patched, stats)) => {
-                    self.obs.count("sweep.patch.hit", 1);
-                    patch = Some(PatchStatus::Patched(stats));
-                    compiled = Some(patched);
-                }
-                Err(reason) => {
-                    self.obs.count("sweep.patch.full_rebuild", 1);
-                    patch = Some(PatchStatus::Rebuilt(reason));
-                }
-            }
-        }
-        let compiled = Arc::new(
-            compiled.unwrap_or_else(|| CompiledSweep::compile_traced(&result, nl, &self.obs)),
+        let (compiled, patch) = compile_or_patch(
+            &result,
+            nl,
+            mapping,
+            stored.as_deref(),
+            clean.as_deref(),
+            |old_key, old_nodes| {
+                donor
+                    .filter(|(k, _)| *k == old_key)
+                    .map(|(_, dag)| dag)
+                    .or_else(|| {
+                        disk.as_ref()?
+                            .load(old_key, config, old_nodes)
+                            .map(Arc::new)
+                    })
+            },
+            &self.obs,
         );
+        let compiled = Arc::new(compiled);
         if let Some(s) = &disk {
             self.obs.count("sweep.cache.miss", 1);
             let _ = s.store(key, &compiled);
@@ -653,8 +588,7 @@ impl Resident {
         });
 
         let base = req.base_inputs.clone().unwrap_or_default();
-        let (_, _, fresh, patch) =
-            self.resolve_sweep_with_donor(&design, &mapping, &config, &base, donor)?;
+        let (_, _, fresh, patch) = self.resolve_sweep(&design, &mapping, &config, &base, donor)?;
         let node_count = design.netlist.node_count() as u64;
         let (mode, reason, seeded_fubs, dirty_fubs, walked_nodes) = match &fresh {
             Some((
@@ -998,9 +932,9 @@ mod tests {
             assert_eq!(a.max_seq_avf.to_bits(), b.max_seq_avf.to_bits());
         }
         let report = r.obs().report();
-        assert_eq!(report.counter("serve.warmstart.hit"), Some(1));
+        assert_eq!(report.counter("relax.warmstart.hit"), Some(1));
         // The initial cold solve counts one miss (no fixpoint resident yet).
-        assert_eq!(report.counter("serve.warmstart.miss"), Some(1));
+        assert_eq!(report.counter("relax.warmstart.miss"), Some(1));
     }
 
     #[test]
