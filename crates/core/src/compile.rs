@@ -665,7 +665,7 @@ impl CompiledSweep {
     ///
     /// This is the sweep server's warm-path workhorse: at ~100k nodes it
     /// roughly halves the per-table evaluation cost versus scalar.
-    fn evaluate_lanes(&self, tables: &[PavfInputs], out: &mut Vec<Vec<f64>>) {
+    fn evaluate_lanes<T: AsRef<PavfInputs>>(&self, tables: &[T], out: &mut Vec<Vec<f64>>) {
         let k = tables.len();
         let ops = self.lane_ops(tables);
         let base = out.len();
@@ -682,14 +682,14 @@ impl CompiledSweep {
 
     /// The op phase of the lane evaluator: term values, sums, MINs, and
     /// struct overrides for every lane, all lane-interleaved.
-    fn lane_ops(&self, tables: &[PavfInputs]) -> LaneOps {
+    fn lane_ops<T: AsRef<PavfInputs>>(&self, tables: &[T]) -> LaneOps {
         let k = tables.len();
         debug_assert!((2..=MAX_LANES).contains(&k));
         let n_terms = self.terms.len();
         // Term values, term-major so each op reads its lanes contiguously.
         let mut vt = vec![0.0f64; n_terms * k];
         for (lane, t) in tables.iter().enumerate() {
-            let values = term_values(&self.terms, t, &self.config);
+            let values = term_values(&self.terms, t.as_ref(), &self.config);
             for (ti, &v) in values.iter().enumerate() {
                 vt[ti * k + lane] = v;
             }
@@ -723,7 +723,7 @@ impl CompiledSweep {
         let struct_avfs: Vec<Option<f64>> = self
             .perf_names
             .iter()
-            .flat_map(|p| tables.iter().map(|t| t.structure_avf(p)))
+            .flat_map(|p| tables.iter().map(|t| t.as_ref().structure_avf(p)))
             .collect();
         LaneOps {
             k,
@@ -763,20 +763,22 @@ impl CompiledSweep {
     /// [`CompiledSweep::evaluate_many`] with observability: scalar
     /// evaluations record a `sweep.eval` span each, lane batches one
     /// `sweep.eval_batch` span per group (workers share the collector).
-    pub fn evaluate_many_traced(
+    /// Tables may be any `AsRef<PavfInputs>`, so callers holding them
+    /// inside request records need not copy them out first.
+    pub fn evaluate_many_traced<T: AsRef<PavfInputs> + Sync>(
         &self,
-        tables: &[PavfInputs],
+        tables: &[T],
         threads: usize,
         obs: &Collector,
     ) -> Vec<Vec<f64>> {
         let threads = threads.max(1).min(tables.len().max(1));
-        let eval_chunk = |part: &[PavfInputs]| {
+        let eval_chunk = |part: &[T]| {
             let mut out: Vec<Vec<f64>> = Vec::with_capacity(part.len());
             let mut scratch = EvalScratch::default();
             for group in part.chunks(MAX_LANES) {
                 if group.len() == 1 {
                     let mut span = obs.span("sweep.eval");
-                    let avf = self.evaluate_with(&group[0], &mut scratch);
+                    let avf = self.evaluate_with(group[0].as_ref(), &mut scratch);
                     span.field_u64("nodes", avf.len() as u64);
                     span.finish();
                     out.push(avf);
@@ -813,22 +815,23 @@ impl CompiledSweep {
     /// materializing any node-length row. This is the serve warm path's
     /// summary evaluation: at ~100k nodes it avoids writing and re-reading
     /// ~1.6 MB of per-node AVFs per table, which otherwise dominates the
-    /// resident request cost.
-    pub fn evaluate_seq_stats_traced(
+    /// resident request cost. Like [`CompiledSweep::evaluate_many_traced`]
+    /// it borrows the tables in place, whatever record holds them.
+    pub fn evaluate_seq_stats_traced<T: AsRef<PavfInputs> + Sync>(
         &self,
-        tables: &[PavfInputs],
+        tables: &[T],
         seq: &[usize],
         threads: usize,
         obs: &Collector,
     ) -> Vec<SeqStats> {
         let threads = threads.max(1).min(tables.len().max(1));
-        let eval_chunk = |part: &[PavfInputs]| {
+        let eval_chunk = |part: &[T]| {
             let mut out: Vec<SeqStats> = Vec::with_capacity(part.len());
             let mut scratch = EvalScratch::default();
             for group in part.chunks(MAX_LANES) {
                 if group.len() == 1 {
                     let mut span = obs.span("sweep.eval");
-                    self.eval_ops(&group[0], &mut scratch);
+                    self.eval_ops(group[0].as_ref(), &mut scratch);
                     let mut st = SeqStats::IDENTITY;
                     for &i in seq {
                         st.fold(self.slot_value(self.slots[i], &scratch));

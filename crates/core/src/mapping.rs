@@ -139,6 +139,15 @@ pub struct PavfInputs {
     pub structure_avfs: BTreeMap<String, f64>,
 }
 
+/// Lets the batch evaluators take tables that live inside larger
+/// request records (see [`crate::compile::CompiledSweep::evaluate_seq_stats_traced`])
+/// as well as bare tables.
+impl AsRef<PavfInputs> for PavfInputs {
+    fn as_ref(&self) -> &PavfInputs {
+        self
+    }
+}
+
 impl PavfInputs {
     /// Creates an empty input table.
     pub fn new() -> Self {

@@ -18,6 +18,7 @@
 //! report and trace boundaries.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 
@@ -615,6 +616,7 @@ impl NetlistBuilder {
             fanout_off,
             fanout_dat,
             seq_count,
+            digest: OnceLock::new(),
         })
     }
 
@@ -712,6 +714,10 @@ pub struct Netlist {
     fanout_off: Vec<u32>,
     fanout_dat: Vec<NodeId>,
     seq_count: usize,
+    /// Memoised [`Netlist::content_digest`]. Every other field is fixed
+    /// at construction, so the digest is computed at most once per
+    /// graph; [`PartialEq`] ignores it.
+    digest: OnceLock<u64>,
 }
 
 impl Netlist {
@@ -843,7 +849,16 @@ impl Netlist {
     ///
     /// The sweep-artifact cache keys on this digest, and the binary
     /// snapshot embeds it for integrity checking.
+    ///
+    /// The graph is immutable, so the walk runs on the first call only;
+    /// later calls (and clones made after it) return the memoised value.
+    /// A snapshot load makes that first call while checking its header.
     pub fn content_digest(&self) -> u64 {
+        *self.digest.get_or_init(|| self.compute_content_digest())
+    }
+
+    /// The graph walk behind [`Netlist::content_digest`].
+    fn compute_content_digest(&self) -> u64 {
         let mut h = Fnv1a64::new();
         let mut scratch = Vec::with_capacity(16);
         h.update(self.design.as_bytes());
@@ -1023,6 +1038,7 @@ impl Netlist {
             fanout_off,
             fanout_dat,
             seq_count,
+            digest: OnceLock::new(),
         }
     }
 }
@@ -1285,5 +1301,46 @@ mod tests {
         let nl3 = b.finish().unwrap();
         assert_ne!(nl1, nl3);
         assert_ne!(nl1.content_digest(), nl3.content_digest());
+    }
+
+    /// EXLIF source of a small synthetic design, for tests that parse it.
+    fn synth_text() -> String {
+        let design = crate::synth::generate(&crate::synth::SynthConfig::xeon_like(7).scaled(0.2));
+        crate::exlif::write(&design.netlist)
+    }
+
+    #[test]
+    fn digest_memo_is_invisible_to_equality() {
+        let nl = crate::flatten::parse_netlist(&synth_text()).unwrap();
+        let fresh = nl.clone();
+        let d = nl.content_digest();
+        assert_eq!(nl.digest.get(), Some(&d));
+        assert_eq!(fresh.digest.get(), None);
+        assert_eq!(nl, fresh);
+        assert_eq!(fresh, nl);
+        // A clone taken after the first read carries the memo along.
+        assert_eq!(nl.clone().digest.get(), Some(&d));
+    }
+
+    #[test]
+    fn memoised_digest_equals_a_recomputation_on_an_independent_parse() {
+        let text = synth_text();
+        let nl = crate::flatten::parse_netlist(&text).unwrap();
+        let first = nl.content_digest();
+        assert_eq!(nl.content_digest(), first);
+        let other = crate::flatten::parse_netlist(&text).unwrap();
+        assert_eq!(other.digest.get(), None);
+        assert_eq!(other.compute_content_digest(), first);
+        assert_eq!(nl.compute_content_digest(), first);
+    }
+
+    #[test]
+    fn snapshot_load_fills_the_memo_with_the_same_digest() {
+        let nl = crate::flatten::parse_netlist(&synth_text()).unwrap();
+        let loops = crate::scc::find_loops(&nl);
+        let bytes = crate::snapshot::save(&nl, &loops);
+        let (back, _) = crate::snapshot::load(&bytes).unwrap();
+        assert_eq!(back.digest.get(), Some(&nl.content_digest()));
+        assert_eq!(back.compute_content_digest(), nl.content_digest());
     }
 }

@@ -28,6 +28,13 @@ pub struct NamedTable {
     pub inputs: PavfInputs,
 }
 
+/// Lets the compiled DAG evaluate a request's tables in place.
+impl AsRef<PavfInputs> for NamedTable {
+    fn as_ref(&self) -> &PavfInputs {
+        &self.inputs
+    }
+}
+
 /// Result-affecting configuration overrides. Absent fields fall back to
 /// [`seqavf_core::engine::SartConfig::default`] (and the server's thread
 /// budget for execution).

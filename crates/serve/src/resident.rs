@@ -22,6 +22,7 @@
 //! full recompute, so a server restart warms from the same artifacts the
 //! batch CLI writes.
 
+use std::borrow::Cow;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
@@ -105,8 +106,9 @@ impl Default for ResidentConfig {
     }
 }
 
-/// A design held resident: the parsed graph, its loop analysis, and the
-/// mapping it was loaded with.
+/// A design held resident: the parsed graph, its loop analysis, the
+/// mapping it was loaded with, and the sequential node indices every
+/// summary folds over.
 #[derive(Debug)]
 pub struct LoadedDesign {
     /// The flattened node graph.
@@ -116,6 +118,22 @@ pub struct LoadedDesign {
     /// Structure mapping from the load-time `map_path` (empty if none
     /// was given).
     pub mapping: StructureMapping,
+    /// Dense indices of the sequential nodes, ascending — the order
+    /// `run_sweep` folds its summaries in.
+    pub seq: Vec<usize>,
+}
+
+impl LoadedDesign {
+    /// Wraps a loaded graph, building its sequential index once.
+    pub fn new(netlist: Netlist, loops: LoopAnalysis, mapping: StructureMapping) -> LoadedDesign {
+        let seq = netlist.seq_nodes().map(|id| id.index()).collect();
+        LoadedDesign {
+            netlist,
+            loops,
+            mapping,
+            seq,
+        }
+    }
 }
 
 /// The shared resident state.
@@ -202,43 +220,43 @@ impl Resident {
         }
         let (key, design, graph_cache) = self.resolve_design(req)?;
         // An explicit map_path always wins; warm requests without one
-        // reuse the mapping the design was loaded with.
+        // borrow the mapping the design was loaded with.
         let mapping = match &req.map_path {
             Some(path) => {
                 let text = std::fs::read_to_string(path)
                     .map_err(|e| ApiError::bad_request(format!("reading map {path}: {e}")))?;
-                StructureMapping::from_text(&design.netlist, &text)
-                    .map_err(|e| ApiError::bad_request(format!("parsing map {path}: {e}")))?
+                Cow::Owned(
+                    StructureMapping::from_text(&design.netlist, &text)
+                        .map_err(|e| ApiError::bad_request(format!("parsing map {path}: {e}")))?,
+                )
             }
-            None => design.mapping.clone(),
+            None => Cow::Borrowed(&design.mapping),
         };
         let config = self.resolve_config(req.config.as_ref())?;
-        let base = req
-            .base_inputs
-            .clone()
-            .unwrap_or_else(|| req.tables[0].inputs.clone());
+        let base = req.base_inputs.as_ref().unwrap_or(&req.tables[0].inputs);
 
         let (compiled, sweep_cache, _, _) =
-            self.resolve_sweep(&design, &mapping, &config, &base, None)?;
+            self.resolve_sweep(&design, &mapping, &config, base, None)?;
 
         // Evaluate the whole batch, then summarize each workload with the
         // `SeqStats` fold `run_sweep` uses, so the service's rows are
         // bit-identical to the `sweep` CLI's. When only summaries are wanted (the warm
         // hot path), use the compiled DAG's summary fold — same arithmetic
         // in the same order, but it never materializes node-length rows.
-        let tables: Vec<PavfInputs> = req.tables.iter().map(|t| t.inputs.clone()).collect();
+        // Both evaluators read the request's tables in place.
+        let tables = &req.tables;
         let nl = &design.netlist;
-        let seq: Vec<usize> = nl.seq_nodes().map(|id| id.index()).collect();
+        let seq = &design.seq;
         let include_nodes = req.include_nodes.unwrap_or(false);
         let include_fubs = req.include_fubs.unwrap_or(false);
         let mut fubs: Vec<FubRow> = Vec::new();
         let rows: Vec<RowOut> = if include_nodes || include_fubs {
-            let avfs = compiled.evaluate_many_traced(&tables, self.cfg.threads, &self.obs);
-            req.tables
+            let avfs = compiled.evaluate_many_traced(tables, self.cfg.threads, &self.obs);
+            tables
                 .iter()
                 .zip(&avfs)
                 .map(|(t, node_avfs)| {
-                    let (mean, min, max) = SeqStats::of(node_avfs, &seq).finish(seq.len());
+                    let (mean, min, max) = SeqStats::of(node_avfs, seq).finish(seq.len());
                     if include_fubs {
                         fubs.extend(fub_rows(nl, &t.workload, node_avfs));
                     }
@@ -254,8 +272,8 @@ impl Resident {
                 .collect()
         } else {
             let stats =
-                compiled.evaluate_seq_stats_traced(&tables, &seq, self.cfg.threads, &self.obs);
-            req.tables
+                compiled.evaluate_seq_stats_traced(tables, seq, self.cfg.threads, &self.obs);
+            tables
                 .iter()
                 .zip(&stats)
                 .map(|(t, st)| {
@@ -324,11 +342,7 @@ impl Resident {
             }
             None => StructureMapping::new(),
         };
-        let design = Arc::new(LoadedDesign {
-            netlist,
-            loops,
-            mapping,
-        });
+        let design = Arc::new(LoadedDesign::new(netlist, loops, mapping));
         if lock(&self.graphs)
             .insert(key, Arc::clone(&design))
             .is_some()
@@ -560,11 +574,7 @@ impl Resident {
                 None => StructureMapping::new(),
             },
         };
-        let design = Arc::new(LoadedDesign {
-            netlist,
-            loops,
-            mapping: mapping.clone(),
-        });
+        let design = Arc::new(LoadedDesign::new(netlist, loops, mapping));
 
         // Patch residency: the edited graph goes in under its new key and
         // the superseded revision's graph and compiled DAG are removed,
@@ -588,7 +598,8 @@ impl Resident {
         });
 
         let base = req.base_inputs.clone().unwrap_or_default();
-        let (_, _, fresh, patch) = self.resolve_sweep(&design, &mapping, &config, &base, donor)?;
+        let (_, _, fresh, patch) =
+            self.resolve_sweep(&design, &design.mapping, &config, &base, donor)?;
         let node_count = design.netlist.node_count() as u64;
         let (mode, reason, seeded_fubs, dirty_fubs, walked_nodes) = match &fresh {
             Some((
@@ -741,6 +752,61 @@ mod tests {
         assert_eq!(report.counter("serve.graph.hit"), Some(1));
         assert_eq!(report.counter("serve.cache.miss"), Some(1));
         assert_eq!(report.counter("serve.cache.hit"), Some(1));
+    }
+
+    fn row_bits(rows: &[RowOut]) -> Vec<[u64; 3]> {
+        rows.iter()
+            .map(|r| {
+                [
+                    r.mean_seq_avf.to_bits(),
+                    r.min_seq_avf.to_bits(),
+                    r.max_seq_avf.to_bits(),
+                ]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn map_override_keys_the_cache_and_leaves_the_loaded_mapping_alone() {
+        let dir = scratch("map-override");
+        let (design, map) = write_design(&dir, 5);
+        let r = Resident::new(ResidentConfig::default(), Collector::new());
+        // Tables that drive every mapped structure, so the mapping shows
+        // in the rows.
+        let mut req = request(&design, &map, 3);
+        let map_text = std::fs::read_to_string(&map).unwrap();
+        for (i, t) in req.tables.iter_mut().enumerate() {
+            for perf in map_text.lines().filter_map(|l| l.split_whitespace().nth(1)) {
+                t.inputs.set_port(perf, 0.1 + 0.2 * i as f64, 0.6);
+                t.inputs.set_structure_avf(perf, 0.05 + 0.3 * i as f64);
+            }
+        }
+        let loaded = r.handle(&req).unwrap();
+        let by_ref = AvfRequest {
+            design_path: None,
+            map_path: None,
+            design_ref: Some(loaded.design_ref.clone()),
+            ..req.clone()
+        };
+
+        // The same resident design under a different mapping: a new
+        // sweep key, so a fresh DAG and different rows.
+        let empty_map = dir.join("empty.map");
+        std::fs::write(&empty_map, "# no structure is mapped\n").unwrap();
+        let overridden = r
+            .handle(&AvfRequest {
+                map_path: Some(empty_map.display().to_string()),
+                ..by_ref.clone()
+            })
+            .unwrap();
+        assert_eq!(overridden.graph_cache, "hit");
+        assert_eq!(overridden.sweep_cache, "miss");
+        assert_ne!(row_bits(&overridden.rows), row_bits(&loaded.rows));
+
+        // Without the override the load-time mapping is back, untouched.
+        let again = r.handle(&by_ref).unwrap();
+        assert_eq!(again.sweep_cache, "hit");
+        assert_eq!(row_bits(&again.rows), row_bits(&loaded.rows));
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //!
 //! Threading model:
 //!
-//! * One **accept thread** polls a nonblocking listener. Each accepted
-//!   connection is `try_send`-ed into a bounded [`mpsc::sync_channel`];
+//! * One **accept thread** waits on a nonblocking listener with
+//!   `poll(2)`, waking at least every 50 ms to check for shutdown. Each
+//!   accepted connection is `try_send`-ed into a bounded
+//!   [`mpsc::sync_channel`];
 //!   when the queue is full the accept thread answers **503** itself and
 //!   drops the connection — admission control costs one syscall, never a
 //!   worker. Backpressure is therefore explicit and bounded: at most
@@ -103,6 +105,46 @@ fn install_signal_handlers() {
 
 #[cfg(not(unix))]
 fn install_signal_handlers() {}
+
+/// How long the accept thread blocks waiting for a connection before it
+/// re-checks the stop flag, the signal flag and the idle timeout.
+const ACCEPT_WAKE: Duration = Duration::from_millis(50);
+
+/// Blocks until `listener` has a connection to accept or `timeout`
+/// passes. Any early return (a signal, an error) is harmless: the caller
+/// re-checks its flags and retries `accept`.
+#[cfg(unix)]
+fn wait_for_connection(listener: &TcpListener, timeout: Duration) {
+    use std::os::unix::io::AsRawFd;
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    type Nfds = std::ffi::c_ulong;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    type Nfds = std::ffi::c_uint;
+    unsafe extern "C" {
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout: i32) -> i32;
+    }
+    const POLLIN: i16 = 1;
+    let mut fd = PollFd {
+        fd: listener.as_raw_fd(),
+        events: POLLIN,
+        revents: 0,
+    };
+    // SAFETY: `fd` is one valid, exclusively borrowed pollfd record.
+    unsafe {
+        poll(&mut fd, 1, timeout.as_millis() as i32);
+    }
+}
+
+#[cfg(not(unix))]
+fn wait_for_connection(_listener: &TcpListener, _timeout: Duration) {
+    std::thread::sleep(Duration::from_millis(1));
+}
 
 /// A running server: its bound address plus join/shutdown control.
 pub struct ServerHandle {
@@ -235,8 +277,10 @@ fn accept_loop(
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
+                wait_for_connection(listener, ACCEPT_WAKE);
             }
+            // A failed accept (e.g. out of descriptors) leaves the
+            // listener readable; back off instead of spinning on it.
             Err(_) => std::thread::sleep(Duration::from_millis(1)),
         }
     }
