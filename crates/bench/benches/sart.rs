@@ -188,24 +188,20 @@ fn bench_relax_incremental(c: &mut Criterion) {
     let inputs = PavfInputs::new();
     let mut group = c.benchmark_group("relax_incremental");
     for threads in [1usize, 8] {
-        for incremental in [false, true] {
-            let engine = SartEngine::new(
-                &design.netlist,
-                &mapping,
-                SartConfig {
-                    threads,
-                    incremental,
-                    ..SartConfig::default()
-                },
-            );
-            let label = format!(
-                "{}/{threads}",
-                if incremental { "incremental" } else { "full" }
-            );
-            group.bench_function(&label, |b| {
-                b.iter(|| std::hint::black_box(engine.run(&inputs)))
-            });
-        }
+        let engine = SartEngine::new(
+            &design.netlist,
+            &mapping,
+            SartConfig {
+                threads,
+                ..SartConfig::default()
+            },
+        );
+        group.bench_function(&format!("full/{threads}"), |b| {
+            b.iter(|| std::hint::black_box(engine.run_full_sweeps(&inputs)))
+        });
+        group.bench_function(&format!("incremental/{threads}"), |b| {
+            b.iter(|| std::hint::black_box(engine.run(&inputs)))
+        });
     }
     group.finish();
 }

@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::common::{flow_config, Scale};
 use seqavf::flow::{inputs_from_suite, run_flow, run_suite};
-use seqavf_core::engine::{SartConfig, SartEngine};
+use seqavf_core::engine::SartEngine;
 use seqavf_perf::pipeline::PerfConfig;
 
 /// The ablation report.
@@ -121,15 +121,7 @@ pub fn run(scale: Scale, seed: u64) -> AblationReport {
     let conservative_struct_avf = cons.values().sum::<f64>() / cons.len().max(1) as f64;
 
     // Partitioned vs global.
-    let global_engine = SartEngine::new(
-        nl,
-        &out.mapping,
-        SartConfig {
-            partitioned: false,
-            ..cfg.sart.clone()
-        },
-    );
-    let global = global_engine.run(&out.inputs);
+    let global = SartEngine::new(nl, &out.mapping, cfg.sart.clone()).run_global(&out.inputs);
     let partition_vs_global_max_diff = nl
         .nodes()
         .map(|id| (out.result.avf(id) - global.avf(id)).abs())

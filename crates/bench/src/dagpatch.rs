@@ -7,18 +7,23 @@
 //! every edit; the patch path reuses the previous revision's DAG,
 //! relocating clean FUBs' slots through a compaction remap and
 //! re-lowering only the dirty cone
-//! ([`CompiledSweep::patch_traced`]).
+//! ([`CompiledSweep::patch_traced`]). The warm side runs the same edit
+//! ladder `sweep` and `serve` run ([`sweep::solve`] then
+//! [`sweep::compile_or_patch`]), so an all-FUBs-dirty edit rebuilds here
+//! exactly as it does there.
 //!
 //! Per edit magnitude (one FUB / 5% of FUBs / full rewrite) we report
 //! end-to-end warm latency (warm relax + patch) against end-to-end cold
-//! latency (cold relax + full compile), plus how many DAG ops the patch
-//! actually touched. Bit-identity of the patched DAG against an
-//! independent cold compile is checked before any ratio is reported.
+//! latency (cold relax + full compile), plus how many slots the patch
+//! re-lowered and how many ops it added. Bit-identity of the warm DAG
+//! against an independent cold compile is checked before any ratio is
+//! reported.
 //!
 //! The acceptance bar is a ≥3× wall speedup for the one-FUB edit on the
 //! production-size (~102k node) design; the full-rewrite row documents
 //! the honest ~1× floor where the patch degrades to a rebuild.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
@@ -27,6 +32,7 @@ use seqavf_core::compile::CompiledSweep;
 use seqavf_core::engine::{SartConfig, SartEngine, WarmStatus};
 use seqavf_core::fixpoint::StoredFixpoint;
 use seqavf_core::mapping::{PavfInputs, StructureMapping};
+use seqavf_core::sweep::{self, PatchStatus};
 use seqavf_netlist::exlif;
 use seqavf_netlist::flatten;
 use seqavf_netlist::synth::{generate, SynthConfig};
@@ -48,8 +54,10 @@ pub struct EditPoint {
     pub patched: bool,
     /// Why the patch fell back, when it did.
     pub rebuild_reason: Option<String>,
-    /// DAG ops the patch wrote (re-lowered slots + new ops).
-    pub ops_patched: usize,
+    /// Node slots the patch re-lowered, out of [`DesignPoint::nodes`].
+    pub slots_relowered: usize,
+    /// Sum + MIN ops the patch lowered fresh, out of `total_ops`.
+    pub ops_added: usize,
     /// Ops tombstoned and compacted away.
     pub ops_orphaned: usize,
     /// Ops in the cold-compiled DAG of the edited revision.
@@ -116,7 +124,7 @@ impl DagPatchReport {
             let _ = writeln!(
                 out,
                 "\n== {} — {} nodes, {} FUBs, {} base ops, base build {:.1} ms\n\
-                 {:<18} {:>6} {:>8} {:>11} {:>11} {:>11} {:>10} {:>10} {:>8}",
+                 {:<18} {:>6} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>8}",
                 p.label,
                 p.nodes,
                 p.fubs,
@@ -125,7 +133,8 @@ impl DagPatchReport {
                 "edit",
                 "dirty",
                 "path",
-                "ops patched",
+                "relowered",
+                "ops added",
                 "orphaned",
                 "total ops",
                 "cold ms",
@@ -135,11 +144,12 @@ impl DagPatchReport {
             for e in &p.edits {
                 let _ = writeln!(
                     out,
-                    "{:<18} {:>6} {:>8} {:>11} {:>11} {:>11} {:>10.2} {:>10.2} {:>7.2}x{}",
+                    "{:<18} {:>6} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10.2} {:>10.2} {:>7.2}x{}",
                     e.edit,
                     e.dirty_fubs,
                     if e.patched { "patch" } else { "rebuild" },
-                    e.ops_patched,
+                    e.slots_relowered,
+                    e.ops_added,
                     e.ops_orphaned,
                     e.total_ops,
                     e.cold_wall_ms,
@@ -165,8 +175,8 @@ impl DagPatchReport {
 }
 
 /// Cold rebuild vs patch for one edited revision. Both sides pay their
-/// solve: cold = full relax + full compile, warm = seeded relax + patch
-/// (or fallback rebuild when the patch refuses). Disk artifact I/O is
+/// solve: cold = full relax + full compile, warm = the edit ladder's
+/// seeded relax + patch (or its fallback rebuild). Disk artifact I/O is
 /// excluded from both sides. Each side runs `REPS` times and reports the
 /// minimum wall time — single-shot numbers on a loaded host conflate
 /// scheduler noise (first-touch page faults, oversubscribed relax
@@ -179,7 +189,7 @@ struct BaseRevision<'a> {
     mapping: &'a StructureMapping,
     inputs: &'a PavfInputs,
     stored: &'a StoredFixpoint,
-    dag: &'a CompiledSweep,
+    dag: &'a Arc<CompiledSweep>,
     threads: usize,
 }
 
@@ -199,11 +209,6 @@ fn measure_edit(edit: &str, flips: usize, base: &BaseRevision) -> EditPoint {
         ..SartConfig::default()
     };
     let engine = SartEngine::new(&nl, mapping, config);
-    let layout: Vec<(&str, usize)> = stored
-        .fubs
-        .iter()
-        .map(|f| (f.name.as_str(), f.fwd.len()))
-        .collect();
 
     let mut cold_wall_ms = f64::INFINITY;
     let mut cold_dag = None;
@@ -216,31 +221,34 @@ fn measure_edit(edit: &str, flips: usize, base: &BaseRevision) -> EditPoint {
     }
     let cold_dag = cold_dag.expect("REPS > 0");
 
+    let obs = seqavf_obs::Collector::disabled();
     let mut warm_wall_ms = f64::INFINITY;
     let mut outcome = None;
     for _ in 0..REPS {
         let t1 = Instant::now();
-        let (warm, status, mask) =
-            engine.run_warm_patch_traced(inputs, stored, &seqavf_obs::Collector::disabled());
-        let attempt = match &mask {
-            Some(m) => old_dag.patch(&warm, &nl, &layout, m),
-            None => Err("warm solve fell back to cold"),
-        };
-        let resolved = match attempt {
-            Ok((dag, st)) => (dag, true, None, st.nodes_patched(), st.ops_orphaned),
-            Err(why) => (
-                CompiledSweep::compile(&warm, &nl),
-                false,
-                Some(why.to_owned()),
-                0,
-                0,
-            ),
-        };
+        let (warm, status, mask) = sweep::solve(&engine, inputs, Ok(stored), &obs);
+        let (dag, patch) = sweep::compile_or_patch(
+            &warm,
+            &nl,
+            mapping,
+            Some(stored),
+            mask.as_deref(),
+            |_, _| Some(Arc::clone(old_dag)),
+            &obs,
+        );
         warm_wall_ms = warm_wall_ms.min(t1.elapsed().as_secs_f64() * 1e3);
-        outcome = Some((resolved, status));
+        outcome = Some((dag, patch, status));
     }
-    let ((warm_dag, patched, rebuild_reason, ops_patched, ops_orphaned), status) =
-        outcome.expect("REPS > 0");
+    let (warm_dag, patch, status) = outcome.expect("REPS > 0");
+    let (patched, rebuild_reason, patch_st) = match patch {
+        Some(PatchStatus::Patched(st)) => (true, None, st),
+        Some(PatchStatus::Rebuilt(why)) => (false, Some(why), Default::default()),
+        None => (
+            false,
+            Some("warm solve fell back to cold"),
+            Default::default(),
+        ),
+    };
 
     let dirty_fubs = match status {
         WarmStatus::Warm { dirty_fubs, .. } => dirty_fubs,
@@ -259,9 +267,10 @@ fn measure_edit(edit: &str, flips: usize, base: &BaseRevision) -> EditPoint {
         flipped_gates,
         dirty_fubs,
         patched,
-        rebuild_reason,
-        ops_patched,
-        ops_orphaned,
+        rebuild_reason: rebuild_reason.map(str::to_owned),
+        slots_relowered: patch_st.slots_relowered,
+        ops_added: patch_st.ops_added,
+        ops_orphaned: patch_st.ops_orphaned,
         total_ops: st.sum_ops + st.min_ops,
         cold_wall_ms,
         warm_wall_ms,
@@ -287,7 +296,7 @@ fn measure_design(label: &str, cfg: &SynthConfig, threads: usize) -> DesignPoint
     let engine = SartEngine::new(&nl, &mapping, config);
     let t0 = Instant::now();
     let result = engine.run(&inputs);
-    let old_dag = CompiledSweep::compile(&result, &nl);
+    let old_dag = Arc::new(CompiledSweep::compile(&result, &nl));
     let base_build_ms = t0.elapsed().as_secs_f64() * 1e3;
     let stored = engine
         .capture_fixpoint(&result)
@@ -362,16 +371,17 @@ mod tests {
         assert!(one.patched, "one-FUB edit must take the patch path");
         assert_eq!(one.dirty_fubs, 1, "one gate flip dirties one FUB");
         assert!(
-            one.ops_patched < one.total_ops,
-            "patch touched {} of {} ops — not incremental",
-            one.ops_patched,
+            one.ops_added < one.total_ops,
+            "patch added {} of {} ops — not incremental",
+            one.ops_added,
             one.total_ops
         );
+        assert!(one.slots_relowered > 0 && one.slots_relowered < p.nodes);
         let five = &p.edits[1];
         assert!(five.patched, "5% edit must take the patch path");
         assert!(
-            one.ops_patched <= five.ops_patched,
-            "a bigger edit should patch at least as many ops"
+            one.slots_relowered <= five.slots_relowered,
+            "a bigger edit should re-lower at least as many slots"
         );
     }
 }

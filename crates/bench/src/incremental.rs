@@ -5,10 +5,11 @@
 //! before the global fixpoint is reached; the incremental engine diffs
 //! the cross-FUB boundary values at each barrier and re-walks only the
 //! FUBs that consume a changed value. This study runs the same design
-//! through both modes at one and many worker threads, records the
-//! per-sweep trajectory (`walked_nodes`, `dirty_fubs`, wall time), and
-//! *checks* the contract: incremental mode must produce bit-identical
-//! AVFs while walking strictly fewer (or equal) nodes.
+//! through [`SartEngine::run`] and the full-sweep oracle
+//! [`SartEngine::run_full_sweeps`] at one and many worker threads,
+//! records the per-sweep trajectory (`walked_nodes`, `dirty_fubs`, wall
+//! time), and *checks* the contract: incremental mode must produce
+//! bit-identical AVFs while walking strictly fewer (or equal) nodes.
 //!
 //! The node-walk reduction is deterministic (a property of the design's
 //! convergence trajectory, not the host); wall-time speedup tracks it
@@ -165,20 +166,23 @@ pub fn run(scale: Scale, seed: u64, thread_counts: &[usize]) -> IncrementalRepor
     let mut bit_identical = true;
     let mut walks = (0usize, 0usize); // (full, incremental) at any thread count
     for &threads in thread_counts {
+        let engine = SartEngine::new(
+            nl,
+            &mapping,
+            SartConfig {
+                threads,
+                ..SartConfig::default()
+            },
+        );
         for incremental in [false, true] {
-            let engine = SartEngine::new(
-                nl,
-                &mapping,
-                SartConfig {
-                    threads,
-                    incremental,
-                    ..SartConfig::default()
-                },
-            );
             let mut best = f64::INFINITY;
             let mut last = None;
             for _ in 0..repeats {
-                let r = engine.run(&inputs);
+                let r = if incremental {
+                    engine.run(&inputs)
+                } else {
+                    engine.run_full_sweeps(&inputs)
+                };
                 best = best.min(r.outcome.total_wall_seconds());
                 last = Some(r);
             }

@@ -238,8 +238,8 @@ mod tests {
 
     #[test]
     fn validate_accepts_known_options() {
-        let a = Args::parse(["sart", "--threads", "4", "--global", "--metrics"]).unwrap();
-        a.validate(&["threads", "design"], &["global", "metrics"])
+        let a = Args::parse(["sweep", "--threads", "4", "--conservative", "--metrics"]).unwrap();
+        a.validate(&["threads", "design"], &["conservative", "metrics"])
             .unwrap();
     }
 

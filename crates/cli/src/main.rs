@@ -5,7 +5,7 @@
 //!              [--cores N]
 //! seqavf ace   --out pavf.json [--workloads 32] [--len 5000] [--conservative]
 //! seqavf sart  --design design.exlif --map design.map --pavf pavf.json
-//!              [--out avf.json] [--loop-pavf 0.3] [--iterations 20] [--global]
+//!              [--out avf.json] [--loop-pavf 0.3] [--iterations 20]
 //!              [--threads 4]
 //! seqavf sfi   --design design.exlif [--sample 100] [--injections 16]
 //! seqavf sweep --design design.exlif --map design.map --pavf pavf.json
@@ -99,14 +99,12 @@ commands:
   ace   --out <pavf.json> [--workloads N] [--len N] [--seed N] [--conservative]
         run the ACE performance model over a workload suite
   sart  --design <exlif|.v> --map <file> --pavf <json> [--out <json>]
-        [--loop-pavf F] [--iterations N] [--global] [--threads N]
-        [--no-incremental] [--protected a,b] [--equations node1,node2]
+        [--loop-pavf F] [--iterations N] [--threads N]
+        [--protected a,b] [--equations node1,node2]
         [--graph-cache <dir>] [--warm-start <dir>]
         resolve sequential AVFs for every node (designs may be EXLIF or
-        structural Verilog, chosen by file extension); --no-incremental
-        re-walks every FUB every relaxation sweep instead of only the
-        boundary-dirty ones (bit-identical results, more work);
-        --warm-start persists the converged fixpoint in <dir> and seeds
+        structural Verilog, chosen by file extension); --warm-start
+        persists the converged fixpoint in <dir> and seeds
         the next run of the same design from it, relaxing only the FUBs
         whose content changed (bit-identical to a cold solve)
   sfi   --design <exlif> [--sample N] [--injections N] [--seed N]
@@ -115,8 +113,7 @@ commands:
   sweep --design <exlif|.v> --map <file> --pavf <json> [--out <json>]
         [--workloads N] [--len N] [--seed N] [--threads N]
         [--cache-dir <dir>] [--graph-cache <dir>] [--warm-start <dir>]
-        [--loop-pavf F] [--iterations N] [--global] [--no-incremental]
-        [--conservative]
+        [--loop-pavf F] [--iterations N] [--conservative]
         compile the closed forms once and evaluate a whole workload suite;
         --cache-dir reuses the compiled artifact across runs (keyed by
         netlist content + configuration), skipping relaxation entirely;
@@ -128,8 +125,7 @@ commands:
         [--trials N] [--seed N] [--threads N] [--sampling uniform|importance]
         [--floor F] [--kernel exact|propagation] [--burst N] [--warmup N]
         [--horizon N] [--no-derate] [--assert-corr F] [--cache-dir <dir>]
-        [--graph-cache <dir>] [--loop-pavf F] [--iterations N] [--global]
-        [--no-incremental]
+        [--graph-cache <dir>] [--loop-pavf F] [--iterations N]
         close the validation triangle: run a trial-indexed fault-injection
         campaign against the design and statistically compare the per-FUB
         injection AVFs with the analytical prediction (Pearson and
@@ -150,7 +146,7 @@ commands:
         --cache-dir shares the sweep's compiled-DAG artifacts for the
         analytical side
   flow  [--seed N] [--workloads N] [--len N] [--scale F] [--cores N]
-        [--threads N] [--no-incremental] [--graph-cache <dir>]
+        [--threads N] [--graph-cache <dir>]
         run the whole pipeline in memory and print the per-FUB report
   serve [--port N] [--host ADDR] [--workers N] [--queue N] [--threads N]
         [--max-resident N] [--graph-cache <dir>] [--cache-dir <dir>]
@@ -162,7 +158,7 @@ commands:
         POST /v1/shutdown (or SIGTERM, or --idle-secs) exits cleanly
   query --design <exlif|.v> --map <file> [--addr host:port] [--out <json>]
         [--workloads N] [--len N] [--seed N] [--conservative]
-        [--loop-pavf F] [--iterations N] [--global] [--design-ref HEX]
+        [--loop-pavf F] [--iterations N] [--design-ref HEX]
         run the workload suite through the ACE model locally, send the
         pAVF tables to a `serve` instance, and print/write the same
         rows `sweep` would (bit-identical); --design-ref skips the
@@ -343,6 +339,18 @@ fn cmd_ace(args: &Args) -> Result<(), String> {
     obs.finish("ace")
 }
 
+/// The relaxation configuration `sart`, `sweep` and `validate` build from
+/// `--loop-pavf`, `--iterations` and `--threads` (at least 1, default
+/// `default_threads`).
+fn sart_config(args: &Args, default_threads: usize) -> Result<SartConfig, String> {
+    Ok(SartConfig {
+        loop_pavf: args.unit_f64("loop-pavf", 0.3)?,
+        max_iterations: args.num("iterations", 20usize)?,
+        threads: args.num("threads", default_threads)?.max(1),
+        ..SartConfig::default()
+    })
+}
+
 fn cmd_sart(args: &Args) -> Result<(), String> {
     args.validate(
         &[
@@ -359,7 +367,7 @@ fn cmd_sart(args: &Args) -> Result<(), String> {
             "warm-start",
             "trace-out",
         ],
-        &["global", "no-incremental", "metrics"],
+        &["metrics"],
     )?;
     let obs = Obs::from_args(args);
     let (netlist, loops) = load_design(
@@ -370,14 +378,7 @@ fn cmd_sart(args: &Args) -> Result<(), String> {
     let mapping = StructureMapping::from_text(&netlist, &read_file(args.require("map")?)?)?;
     let inputs: PavfInputs = serde_json::from_str(&read_file(args.require("pavf")?)?)
         .map_err(|e| format!("parsing pAVF table: {e}"))?;
-    let config = SartConfig {
-        loop_pavf: args.unit_f64("loop-pavf", 0.3)?,
-        max_iterations: args.num("iterations", 20usize)?,
-        partitioned: !args.has("global"),
-        incremental: !args.has("no-incremental"),
-        threads: args.num("threads", 1usize)?.max(1),
-        ..SartConfig::default()
-    };
+    let config = sart_config(args, 1)?;
     let engine = match &loops {
         Some(l) => SartEngine::new_with_loops_traced(&netlist, &mapping, config, l, &obs.collector),
         None => SartEngine::new_traced(&netlist, &mapping, config, &obs.collector),
@@ -418,17 +419,12 @@ fn cmd_sart(args: &Args) -> Result<(), String> {
         summary.loop_seq_bits
     );
     println!(
-        "relaxation wall time: {:.3} ms total over {} sweeps ({:.3} ms/sweep, {} threads, {} node-walks{})",
+        "relaxation wall time: {:.3} ms total over {} sweeps ({:.3} ms/sweep, {} threads, {} node-walks)",
         result.outcome.total_wall_seconds() * 1e3,
         result.outcome.trace.len(),
         result.outcome.mean_iteration_seconds() * 1e3,
         result.config.threads,
         result.outcome.total_walked_nodes(),
-        if result.config.incremental {
-            ", incremental"
-        } else {
-            ", full sweeps"
-        }
     );
     // SDC/DUE split when protected structures are named.
     if let Some(protected) = args.get("protected") {
@@ -546,7 +542,7 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
             "iterations",
             "trace-out",
         ],
-        &["global", "no-incremental", "conservative", "metrics"],
+        &["conservative", "metrics"],
     )?;
     let obs = Obs::from_args(args);
     let (netlist, loops) = load_design(
@@ -557,14 +553,7 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     let mapping = StructureMapping::from_text(&netlist, &read_file(args.require("map")?)?)?;
     let base_inputs: PavfInputs = serde_json::from_str(&read_file(args.require("pavf")?)?)
         .map_err(|e| format!("parsing pAVF table: {e}"))?;
-    let config = SartConfig {
-        loop_pavf: args.unit_f64("loop-pavf", 0.3)?,
-        max_iterations: args.num("iterations", 20usize)?,
-        partitioned: !args.has("global"),
-        incremental: !args.has("no-incremental"),
-        threads: args.num("threads", 1usize)?.max(1),
-        ..SartConfig::default()
-    };
+    let config = sart_config(args, 1)?;
     // Per-workload pAVF tables from the ACE model, one per suite trace.
     let suite_cfg = SuiteConfig {
         workloads: args.num("workloads", 8usize)?,
@@ -610,8 +599,9 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     }
     match outcome.patch {
         Some(PatchStatus::Patched(st)) => println!(
-            "DAG patch: {} ops patched, {} retained, {} orphaned (previous revision's DAG reused)",
-            st.nodes_patched(),
+            "DAG patch: {} slots re-lowered, {} ops added, {} ops retained, {} orphaned (previous revision's DAG reused)",
+            st.slots_relowered,
+            st.ops_added,
             st.ops_retained,
             st.ops_orphaned
         ),
@@ -708,7 +698,7 @@ fn cmd_validate(args: &Args) -> Result<(), String> {
             "iterations",
             "trace-out",
         ],
-        &["global", "no-incremental", "no-derate", "metrics"],
+        &["no-derate", "metrics"],
     )?;
     let obs = Obs::from_args(args);
     let (netlist, loops) = load_design(
@@ -728,15 +718,7 @@ fn cmd_validate(args: &Args) -> Result<(), String> {
             .map_err(|e| format!("parsing pAVF table: {e}"))?,
         None => PavfInputs::new(),
     };
-    let threads = args.num("threads", 8usize)?.max(1);
-    let config = SartConfig {
-        loop_pavf: args.unit_f64("loop-pavf", 0.3)?,
-        max_iterations: args.num("iterations", 20usize)?,
-        partitioned: !args.has("global"),
-        incremental: !args.has("no-incremental"),
-        threads,
-        ..SartConfig::default()
-    };
+    let config = sart_config(args, 8)?;
 
     // Analytical side: the per-bit SART AVFs, via the same compiled-DAG
     // artifact cache the sweep uses (a prior `sweep --cache-dir` run makes
@@ -816,7 +798,7 @@ fn cmd_validate(args: &Args) -> Result<(), String> {
             seed: args.num("seed", 0xace_5eedu64)?,
             max_warmup: args.num("warmup", 32u64)?,
             horizon: args.num("horizon", 150u64)?,
-            threads,
+            threads: config.threads,
             burst: args.pos_usize("burst", 1)?,
             kernel,
         },
@@ -841,7 +823,7 @@ fn cmd_validate(args: &Args) -> Result<(), String> {
         "validated {} trials in {:?} ({} threads)",
         report.trials,
         t0.elapsed(),
-        threads
+        config.threads
     );
     if let Some(out) = args.get("out") {
         write_file(out, &report.to_json())?;
@@ -936,7 +918,7 @@ fn cmd_query(args: &Args) -> Result<(), String> {
             "iterations",
             "trace-out",
         ],
-        &["global", "conservative", "metrics"],
+        &["conservative", "metrics"],
     )?;
     let obs = Obs::from_args(args);
     let addr_text = args.get("addr").unwrap_or("127.0.0.1:7171");
@@ -983,7 +965,6 @@ fn cmd_query(args: &Args) -> Result<(), String> {
         config: Some(RequestConfig {
             loop_pavf: Some(args.unit_f64("loop-pavf", 0.3)?),
             iterations: Some(args.num("iterations", 20u64)?),
-            global: Some(args.has("global")),
         }),
         base_inputs,
         tables,
@@ -1056,7 +1037,7 @@ fn cmd_flow(args: &Args) -> Result<(), String> {
             "graph-cache",
             "trace-out",
         ],
-        &["no-incremental", "metrics"],
+        &["metrics"],
     )?;
     let obs = Obs::from_args(args);
     let mut cfg = seqavf::flow::FlowConfig::xeon_like(args.num("seed", 42u64)?);
@@ -1068,7 +1049,6 @@ fn cmd_flow(args: &Args) -> Result<(), String> {
     cfg.suite.workloads = args.num("workloads", 32usize)?;
     cfg.suite.len = args.num("len", 5_000usize)?;
     cfg.sart.threads = args.num("threads", 1usize)?.max(1);
-    cfg.sart.incremental = !args.has("no-incremental");
     let t0 = std::time::Instant::now();
     let out = seqavf::flow::run_flow_traced(&cfg, &obs.collector);
     print!("{}", out.summary.to_table());

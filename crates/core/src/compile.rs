@@ -81,7 +81,7 @@ pub struct CompileStats {
 
 /// What a DAG patch did, op by op (reported through the `sweep.patch`
 /// span and the `sweep.patch.*` counters).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PatchStats {
     /// Node slots relocated verbatim from the old DAG (clean FUBs).
     pub slots_retained: usize,
@@ -93,15 +93,6 @@ pub struct PatchStats {
     pub ops_added: usize,
     /// Old ops no clean slot references anymore, dropped at compaction.
     pub ops_orphaned: usize,
-}
-
-impl PatchStats {
-    /// DAG nodes the patch wrote: re-lowered slots plus freshly lowered
-    /// ops. The proportional-to-edit quantity — for a small edit this is
-    /// far below the DAG's total op count.
-    pub fn nodes_patched(&self) -> usize {
-        self.slots_relowered + self.ops_added
-    }
 }
 
 /// A compiled multi-workload evaluator: the hash-consed term DAG plus the
@@ -261,7 +252,8 @@ impl CompiledSweep {
             span.field_u64("ops_retained", st.ops_retained as u64);
             span.field_u64("ops_added", st.ops_added as u64);
             span.field_u64("ops_orphaned", st.ops_orphaned as u64);
-            obs.count("sweep.patch.nodes_patched", st.nodes_patched() as u64);
+            obs.count("sweep.patch.slots_relowered", st.slots_relowered as u64);
+            obs.count("sweep.patch.ops_added", st.ops_added as u64);
             obs.count("sweep.patch.nodes_orphaned", st.ops_orphaned as u64);
         }
         span.finish();
@@ -886,9 +878,8 @@ impl CompiledSweep {
     /// newline (impossible for parsed netlists).
     ///
     /// v2 embeds [`SartConfig::result_key`] instead of the full `Debug`
-    /// rendering, so artifacts written at one thread count (or with
-    /// incremental relaxation toggled) load under any other — those fields
-    /// never change the result. v1 artifacts are rejected as unknown and
+    /// rendering, so artifacts written at one thread count load under any
+    /// other — `threads` never changes the result. v1 artifacts are rejected as unknown and
     /// degrade to a recompute.
     pub fn to_text(&self) -> String {
         let mut out = String::from("seqavf-sweep/2\n");
@@ -936,8 +927,7 @@ impl CompiledSweep {
     /// Parses a `seqavf-sweep/2` artifact back into a compiled DAG. The
     /// caller supplies the configuration it expects (the cache key binds
     /// it); a stored artifact whose embedded *result key* differs is
-    /// rejected — execution-only fields (`threads`, `incremental`) may
-    /// differ freely. Every index is bounds-checked — a corrupt artifact
+    /// rejected — the execution-only `threads` may differ freely. Every index is bounds-checked — a corrupt artifact
     /// yields `Err`, never a panic or an out-of-range evaluator.
     pub fn from_text(text: &str, config: &SartConfig) -> Result<CompiledSweep, String> {
         let mut lines = text.lines().enumerate();
@@ -1223,7 +1213,6 @@ mod tests {
         assert_eq!(st.slots_relowered, 0);
         assert_eq!(st.ops_added, 0);
         assert_eq!(st.ops_orphaned, 0);
-        assert_eq!(st.nodes_patched(), 0);
         // Nothing moved, so the patched artifact is byte-identical.
         assert_eq!(patched, compiled);
         assert_eq!(patched.to_text(), compiled.to_text());
@@ -1395,14 +1384,13 @@ mod tests {
 
     #[test]
     fn artifact_loads_across_execution_strategy_changes() {
-        // threads/incremental are not part of the result key: an artifact
-        // written under one setting parses under any other and evaluates
+        // threads is not part of the result key: an artifact written
+        // under one setting parses under any other and evaluates
         // bit-identically.
         let (_, _, compiled) = compiled_fig7();
         let text = compiled.to_text();
         let exec_only = SartConfig {
             threads: 8,
-            incremental: !compiled.config().incremental,
             ..compiled.config().clone()
         };
         let back = CompiledSweep::from_text(&text, &exec_only)

@@ -11,8 +11,7 @@ use crate::classify::{classify, NodeRole, RoleMap};
 use crate::fixpoint::{self, StoredFixpoint};
 use crate::mapping::{PavfInputs, StructureMapping};
 use crate::relax::{
-    relax_partitioned, relax_partitioned_exact, relax_partitioned_warm,
-    relax_partitioned_warm_exact, solve_global, RelaxOutcome,
+    relax_full_sweeps, relax_partitioned, relax_partitioned_exact, solve_global, RelaxOutcome,
 };
 use crate::walk::{prepare, Propagator, INJ_BOUNDARY_IN, INJ_BOUNDARY_OUT, INJ_CTRL, INJ_LOOP};
 
@@ -36,16 +35,6 @@ pub struct SartConfig {
     pub ctrl_patterns: Vec<String>,
     /// Relaxation iteration cap (the paper used 20).
     pub max_iterations: usize,
-    /// Analyze FUB-partitioned with FUBIO merging (`true`, the paper's
-    /// mode) or as one global pass (`false`; same fixpoint, useful for
-    /// validation).
-    pub partitioned: bool,
-    /// Skip FUBs whose cross-partition boundary reads did not change in
-    /// the previous relaxation sweep (`true`, the default). Results are
-    /// bit-identical to full sweeps — only the work shrinks; `false`
-    /// re-walks every FUB every iteration (the escape hatch behind the
-    /// CLI's `--no-incremental`).
-    pub incremental: bool,
     /// Worker threads for the partitioned relaxation and batch
     /// re-evaluation. Every thread count produces bit-identical
     /// annotations and `SetId` numbering (see [`crate::relax`]); `1`
@@ -57,20 +46,19 @@ impl SartConfig {
     /// Canonical rendering of exactly the fields that can change a
     /// computed AVF — the cache identity of a relaxation/compilation.
     ///
-    /// `threads` and `incremental` are deliberately excluded: both are
-    /// execution strategies with a bit-identity contract (see
-    /// [`crate::relax`]), so `--threads 8` must reuse an artifact written
-    /// by `--threads 1` and vice versa. Every other field either injects a
-    /// term value (`loop_pavf`, `ctrl_read_pavf`, boundary/default pAVFs),
-    /// selects node roles (`ctrl_patterns`), or changes which fixpoint is
-    /// reached (`max_iterations` caps convergence, `partitioned` picks the
-    /// solver) — all result-affecting, all keyed.
+    /// `threads` is deliberately excluded: it is an execution strategy
+    /// with a bit-identity contract (see [`crate::relax`]), so
+    /// `--threads 8` must reuse an artifact written by `--threads 1` and
+    /// vice versa. Every other field either injects a term value
+    /// (`loop_pavf`, `ctrl_read_pavf`, boundary/default pAVFs), selects
+    /// node roles (`ctrl_patterns`), or caps convergence
+    /// (`max_iterations`) — all result-affecting, all keyed.
     ///
     /// Floats render via `{:?}` (shortest round-trip), so distinct values
     /// never collide.
     pub fn result_key(&self) -> String {
         format!(
-            "loop={:?} ctrl={:?} bin={:?} bout={:?} dflt={:?} pat={:?} iters={} part={}",
+            "loop={:?} ctrl={:?} bin={:?} bout={:?} dflt={:?} pat={:?} iters={}",
             self.loop_pavf,
             self.ctrl_read_pavf,
             self.boundary_in_pavf,
@@ -78,7 +66,6 @@ impl SartConfig {
             self.default_port_pavf,
             self.ctrl_patterns,
             self.max_iterations,
-            self.partitioned,
         )
     }
 }
@@ -93,8 +80,6 @@ impl Default for SartConfig {
             default_port_pavf: 1.0,
             ctrl_patterns: vec!["creg".to_owned()],
             max_iterations: 20,
-            partitioned: true,
-            incremental: true,
             threads: 1,
         }
     }
@@ -232,27 +217,78 @@ impl<'nl> SartEngine<'nl> {
         self.run_inner(inputs, true, &Collector::disabled())
     }
 
-    fn run_inner(&self, inputs: &PavfInputs, exact_threads: bool, obs: &Collector) -> SartResult {
-        let mut prop = self.prop_template.clone();
-        let values = term_values(&prop.prep.terms, inputs, &self.config);
-        let outcome = if self.config.partitioned {
-            let relax = if exact_threads {
-                relax_partitioned_exact
-            } else {
-                relax_partitioned
-            };
-            relax(
-                &mut prop,
-                &values,
+    /// The unpartitioned global pass ([`crate::relax::solve_global`]) in
+    /// place of the partitioned relaxation. A reference for tests and
+    /// ablations: it reaches the same fixpoint in resolved values, which
+    /// the equivalence suites check against every production route.
+    pub fn run_global(&self, inputs: &PavfInputs) -> SartResult {
+        let obs = Collector::disabled();
+        self.run_with(inputs, &obs, |prop, values| {
+            solve_global(prop, values, &obs)
+        })
+    }
+
+    /// [`SartEngine::run`] with every FUB re-walked on every sweep (no
+    /// dirty-FUB skipping), under the same thread clamp. A reference for
+    /// tests and ablations: annotations, `SetId` numbering and iteration
+    /// counts are bit-identical to [`SartEngine::run`]; only the walk
+    /// telemetry differs.
+    pub fn run_full_sweeps(&self, inputs: &PavfInputs) -> SartResult {
+        let obs = Collector::disabled();
+        self.run_with(inputs, &obs, |prop, values| {
+            relax_full_sweeps(
+                prop,
+                values,
                 self.config.max_iterations,
                 self.config.threads,
-                self.config.incremental,
-                obs,
+                &obs,
             )
-        } else {
-            solve_global(&mut prop, &values, obs)
-        };
+        })
+    }
+
+    fn run_inner(&self, inputs: &PavfInputs, exact_threads: bool, obs: &Collector) -> SartResult {
+        self.run_with(inputs, obs, |prop, values| {
+            self.relax(prop, values, None, exact_threads, obs)
+        })
+    }
+
+    /// Clones the prepared propagation state, solves it with `solve` and
+    /// resolves the AVFs.
+    fn run_with(
+        &self,
+        inputs: &PavfInputs,
+        obs: &Collector,
+        solve: impl FnOnce(&mut Propagator<'nl>, &[f64]) -> RelaxOutcome,
+    ) -> SartResult {
+        let mut prop = self.prop_template.clone();
+        let values = term_values(&prop.prep.terms, inputs, &self.config);
+        let outcome = solve(&mut prop, &values);
         self.assemble(prop, outcome, inputs, obs)
+    }
+
+    /// The partitioned relaxation under this engine's configuration, cold
+    /// (`seed_dirty` `None`) or warm.
+    fn relax(
+        &self,
+        prop: &mut Propagator<'nl>,
+        values: &[f64],
+        seed_dirty: Option<&[bool]>,
+        exact_threads: bool,
+        obs: &Collector,
+    ) -> RelaxOutcome {
+        let relax = if exact_threads {
+            relax_partitioned_exact
+        } else {
+            relax_partitioned
+        };
+        relax(
+            prop,
+            values,
+            self.config.max_iterations,
+            self.config.threads,
+            seed_dirty,
+            obs,
+        )
     }
 
     fn assemble(
@@ -345,13 +381,6 @@ impl<'nl> SartEngine<'nl> {
         exact_threads: bool,
         obs: &Collector,
     ) -> (SartResult, WarmStatus, Option<Vec<bool>>) {
-        if !self.config.partitioned || !self.config.incremental {
-            return (
-                self.run_inner(inputs, exact_threads, obs),
-                WarmStatus::Cold("config disables partitioned incremental relaxation"),
-                None,
-            );
-        }
         let mut prop = self.prop_template.clone();
         let (dirty, plan) = match fixpoint::seed(
             stored,
@@ -378,19 +407,7 @@ impl<'nl> SartEngine<'nl> {
         let seed_fwd = prop.fwd.clone();
         let seed_bwd = prop.bwd.clone();
         let values = term_values(&prop.prep.terms, inputs, &self.config);
-        let relax = if exact_threads {
-            relax_partitioned_warm_exact
-        } else {
-            relax_partitioned_warm
-        };
-        let outcome = relax(
-            &mut prop,
-            &values,
-            self.config.max_iterations,
-            self.config.threads,
-            &dirty,
-            obs,
-        );
+        let outcome = self.relax(&mut prop, &values, Some(&dirty), exact_threads, obs);
         let fub_nodes = fixpoint::nodes_by_fub(self.nl);
         let clean: Vec<bool> = self
             .nl
@@ -777,15 +794,10 @@ mod tests {
     #[test]
     fn incremental_mode_is_invisible_in_results() {
         let inputs = fig7_inputs();
-        let (_, inc) = run(FIGURE7, &inputs, SartConfig::default());
-        let (nl, full) = run(
-            FIGURE7,
-            &inputs,
-            SartConfig {
-                incremental: false,
-                ..SartConfig::default()
-            },
-        );
+        let nl = parse_netlist(FIGURE7).unwrap();
+        let engine = SartEngine::new(&nl, &StructureMapping::new(), SartConfig::default());
+        let inc = engine.run(&inputs);
+        let full = engine.run_full_sweeps(&inputs);
         assert_eq!(inc.fwd, full.fwd);
         assert_eq!(inc.bwd, full.bwd);
         assert_eq!(inc.arena.len(), full.arena.len());
@@ -793,7 +805,7 @@ mod tests {
         for id in nl.nodes() {
             assert_eq!(inc.avf(id).to_bits(), full.avf(id).to_bits());
         }
-        // The default mode never walks more than the full mode.
+        // The production route never walks more than full sweeps.
         assert!(inc.outcome.total_walked_nodes() <= full.outcome.total_walked_nodes());
     }
 
@@ -807,15 +819,10 @@ mod tests {
     #[test]
     fn partitioned_equals_global_fixpoint() {
         let inputs = fig7_inputs();
-        let (_, part) = run(FIGURE7, &inputs, SartConfig::default());
-        let (nl, glob) = run(
-            FIGURE7,
-            &inputs,
-            SartConfig {
-                partitioned: false,
-                ..SartConfig::default()
-            },
-        );
+        let nl = parse_netlist(FIGURE7).unwrap();
+        let engine = SartEngine::new(&nl, &StructureMapping::new(), SartConfig::default());
+        let part = engine.run(&inputs);
+        let glob = engine.run_global(&inputs);
         for id in nl.nodes() {
             assert!((part.avf(id) - glob.avf(id)).abs() < 1e-12);
         }

@@ -506,8 +506,8 @@ pub fn capture(
 /// node count all match the edited netlist *and* every stored set
 /// translates into the new term table; any shortfall leaves that FUB at
 /// the conservative default and marks it dirty. The returned dirty
-/// vector is exactly what [`crate::relax::relax_partitioned_warm`]
-/// expects.
+/// vector is exactly the `seed_dirty` that
+/// [`crate::relax::relax_partitioned`] expects.
 pub fn seed(
     stored: &StoredFixpoint,
     nl: &Netlist,

@@ -43,7 +43,7 @@
 //! annotations it reads across the partition (recorded in
 //! [`BoundaryDeps`] during preparation). After the first sweep, a FUB can
 //! therefore only produce new annotations if one of those boundary values
-//! changed in the previous sweep. The incremental mode exploits this at
+//! changed in the previous sweep. [`relax_partitioned`] exploits this at
 //! two granularities:
 //!
 //! * **FUB level** — at every iteration barrier it diffs exactly the
@@ -531,11 +531,29 @@ fn mark_dirty(
 /// per-worker arena shards (see the module docs). Any thread count yields
 /// bit-identical annotations and `SetId` numbering.
 ///
-/// With `incremental` set, each sweep walks only the FUBs whose
-/// cross-partition boundary reads changed in the previous sweep; clean
-/// FUBs keep their annotations untouched. Annotations, `SetId` numbering,
-/// and per-sweep `changed_sets`/`max_delta` telemetry are bit-identical
-/// to full sweeps — only the work (`walked_nodes`) shrinks.
+/// Each sweep walks only the FUBs whose cross-partition boundary reads
+/// changed in the previous sweep; clean FUBs keep their annotations
+/// untouched. Annotations, `SetId` numbering, and per-sweep
+/// `changed_sets`/`max_delta` telemetry are bit-identical to full sweeps
+/// (the oracle behind [`crate::engine::SartEngine::run_full_sweeps`]) —
+/// only the work (`walked_nodes`) shrinks.
+///
+/// `seed_dirty` selects a cold or a warm solve. `None` floods every FUB
+/// on the first sweep. `Some(dirty)` means the caller has already seeded
+/// `prop.fwd`/`prop.bwd` with a previously converged fixpoint (see
+/// `crate::fixpoint`) and `dirty` flags exactly the FUBs whose content
+/// changed since that fixpoint was captured: the first sweep force-walks
+/// only those FUBs, and from there the ordinary cross-FUB dirty
+/// propagation takes over, so work stays proportional to the edit's
+/// change cone. Correctness leans on the same invariant as within-run
+/// incremental sweeps: a skipped node's annotation is reproduced exactly
+/// by recomputing it as long as none of its reads moved. Seeded
+/// annotations satisfy that invariant for every FUB whose content —
+/// including its cross-FUB wiring, captured by `Netlist::fub_digests` —
+/// is unchanged; any value that does move is diffed at the iteration
+/// barrier and its consumers re-walked. A warm solve's converged
+/// annotations (and therefore the resolved AVFs) are bit-identical to a
+/// cold solve; only `SetId` numbering and the work telemetry differ.
 ///
 /// `values` supplies term values for the numeric telemetry only; the
 /// propagation itself is symbolic and independent of them.
@@ -557,61 +575,10 @@ pub fn relax_partitioned(
     values: &[f64],
     max_iterations: usize,
     threads: usize,
-    incremental: bool,
+    seed_dirty: Option<&[bool]>,
     obs: &Collector,
 ) -> RelaxOutcome {
-    let effective = if threads > 1 && prop.nl.node_count() < RELAX_PARALLEL_WORK_THRESHOLD {
-        1
-    } else {
-        threads
-    };
-    relax_partitioned_inner(
-        prop,
-        values,
-        max_iterations,
-        threads,
-        effective,
-        incremental,
-        None,
-        obs,
-    )
-}
-
-/// Warm-started partitioned relaxation: the caller has already seeded
-/// `prop.fwd`/`prop.bwd` with a previously converged fixpoint (see
-/// `crate::fixpoint`), and `seed_dirty` flags exactly the FUBs whose
-/// content changed since that fixpoint was captured. The first sweep
-/// force-walks only those FUBs instead of flooding the whole design;
-/// from there the ordinary cross-FUB dirty propagation takes over, so
-/// work stays proportional to the edit's change cone.
-///
-/// Correctness leans on the same invariant as within-run incremental
-/// sweeps: a skipped node's annotation is reproduced exactly by
-/// recomputing it as long as none of its reads moved. Seeded annotations
-/// are the converged values of the *previous* run, so they satisfy that
-/// invariant for every FUB whose content — including its cross-FUB
-/// wiring, captured by `Netlist::fub_digests` — is unchanged; any value
-/// that does move is diffed at the iteration barrier and its consumers
-/// re-walked. The converged annotations (and therefore the resolved
-/// AVFs) are bit-identical to a cold solve; only `SetId` numbering and
-/// the work telemetry differ.
-///
-/// Always incremental (a warm start without change-cone tracking would
-/// silently recompute everything); subject to the same small-design
-/// thread clamp as [`relax_partitioned`].
-pub fn relax_partitioned_warm(
-    prop: &mut Propagator<'_>,
-    values: &[f64],
-    max_iterations: usize,
-    threads: usize,
-    seed_dirty: &[bool],
-    obs: &Collector,
-) -> RelaxOutcome {
-    let effective = if threads > 1 && prop.nl.node_count() < RELAX_PARALLEL_WORK_THRESHOLD {
-        1
-    } else {
-        threads
-    };
+    let effective = clamp_threads(prop, threads);
     relax_partitioned_inner(
         prop,
         values,
@@ -619,30 +586,7 @@ pub fn relax_partitioned_warm(
         threads,
         effective,
         true,
-        Some(seed_dirty),
-        obs,
-    )
-}
-
-/// [`relax_partitioned_warm`] without the small-design thread clamp, for
-/// equivalence tests that must drive the sharded warm path on designs
-/// below the crossover.
-pub fn relax_partitioned_warm_exact(
-    prop: &mut Propagator<'_>,
-    values: &[f64],
-    max_iterations: usize,
-    threads: usize,
-    seed_dirty: &[bool],
-    obs: &Collector,
-) -> RelaxOutcome {
-    relax_partitioned_inner(
-        prop,
-        values,
-        max_iterations,
-        threads,
-        threads,
-        true,
-        Some(seed_dirty),
+        seed_dirty,
         obs,
     )
 }
@@ -656,7 +600,7 @@ pub fn relax_partitioned_exact(
     values: &[f64],
     max_iterations: usize,
     threads: usize,
-    incremental: bool,
+    seed_dirty: Option<&[bool]>,
     obs: &Collector,
 ) -> RelaxOutcome {
     relax_partitioned_inner(
@@ -665,12 +609,49 @@ pub fn relax_partitioned_exact(
         max_iterations,
         threads,
         threads,
-        incremental,
+        true,
+        seed_dirty,
+        obs,
+    )
+}
+
+/// Cold partitioned relaxation that re-walks every FUB on every sweep —
+/// the full-sweep oracle the dirty-FUB skipping of [`relax_partitioned`]
+/// is pinned against. Same thread clamp as [`relax_partitioned`].
+pub(crate) fn relax_full_sweeps(
+    prop: &mut Propagator<'_>,
+    values: &[f64],
+    max_iterations: usize,
+    threads: usize,
+    obs: &Collector,
+) -> RelaxOutcome {
+    let effective = clamp_threads(prop, threads);
+    relax_partitioned_inner(
+        prop,
+        values,
+        max_iterations,
+        threads,
+        effective,
+        false,
         None,
         obs,
     )
 }
 
+/// The small-design thread clamp: one worker below
+/// [`RELAX_PARALLEL_WORK_THRESHOLD`] nodes, `threads` otherwise.
+fn clamp_threads(prop: &Propagator<'_>, threads: usize) -> usize {
+    if threads > 1 && prop.nl.node_count() < RELAX_PARALLEL_WORK_THRESHOLD {
+        1
+    } else {
+        threads
+    }
+}
+
+/// The relaxation loop behind every partitioned entry point. `threads`
+/// workers run each sweep (`requested_threads` is only reported);
+/// `incremental` false re-walks every FUB every sweep, which only the
+/// full-sweep oracle and its tests ask for.
 #[allow(clippy::too_many_arguments)]
 fn relax_partitioned_inner(
     prop: &mut Propagator<'_>,
@@ -991,7 +972,7 @@ mod tests {
         let (nl, mut p1) = propagator(CHAIN);
         let mut p2 = p1.clone();
         let values = default_values(&p1);
-        let out_part = relax_partitioned(&mut p1, &values, 20, 1, true, &Collector::disabled());
+        let out_part = relax_partitioned(&mut p1, &values, 20, 1, None, &Collector::disabled());
         let out_glob = solve_global(&mut p2, &values, &Collector::disabled());
         assert!(out_part.converged);
         assert!(out_glob.converged);
@@ -1014,14 +995,16 @@ mod tests {
                 let values = default_values(&p0);
                 let mut p_full = p0.clone();
                 let mut p_inc = p0.clone();
-                // `_exact` so the sharded parallel path actually runs on
+                // Unclamped, so the sharded parallel path actually runs on
                 // these tiny designs despite the small-design clamp.
-                let full = relax_partitioned_exact(
+                let full = relax_partitioned_inner(
                     &mut p_full,
                     &values,
                     20,
                     threads,
+                    threads,
                     false,
+                    None,
                     &Collector::disabled(),
                 );
                 let inc = relax_partitioned_exact(
@@ -1029,7 +1012,7 @@ mod tests {
                     &values,
                     20,
                     threads,
-                    true,
+                    None,
                     &Collector::disabled(),
                 );
                 // Identical annotations, SetId numbering, arena contents,
@@ -1055,7 +1038,7 @@ mod tests {
     fn incremental_skips_clean_fubs() {
         let (nl, mut p) = propagator(CHAIN);
         let values = default_values(&p);
-        let out = relax_partitioned(&mut p, &values, 20, 1, true, &Collector::disabled());
+        let out = relax_partitioned(&mut p, &values, 20, 1, None, &Collector::disabled());
         assert!(out.converged);
         // The first sweep floods everything…
         assert_eq!(out.trace[0].dirty_fubs, nl.fub_count());
@@ -1072,7 +1055,7 @@ mod tests {
     fn single_fub_perturbation_marks_exactly_dependent_fubs() {
         let (nl, mut p) = propagator(FANOUT);
         let values = default_values(&p);
-        let out = relax_partitioned(&mut p, &values, 20, 1, true, &Collector::disabled());
+        let out = relax_partitioned(&mut p, &values, 20, 1, None, &Collector::disabled());
         assert!(out.converged);
         let boundary = &p.prep.boundary;
         let fub = |name: &str| nl.fub(nl.lookup(name).unwrap());
@@ -1152,7 +1135,7 @@ mod tests {
     fn chain_needs_multiple_iterations() {
         let (_, mut p) = propagator(CHAIN);
         let values = default_values(&p);
-        let out = relax_partitioned(&mut p, &values, 20, 1, true, &Collector::disabled());
+        let out = relax_partitioned(&mut p, &values, 20, 1, None, &Collector::disabled());
         assert!(out.converged);
         assert!(
             out.iterations >= 3,
@@ -1167,7 +1150,7 @@ mod tests {
     fn iteration_cap_respected() {
         let (_, mut p) = propagator(CHAIN);
         let values = default_values(&p);
-        let out = relax_partitioned(&mut p, &values, 1, 1, true, &Collector::disabled());
+        let out = relax_partitioned(&mut p, &values, 1, 1, None, &Collector::disabled());
         assert_eq!(out.iterations, 1);
         assert!(!out.converged);
     }
@@ -1176,7 +1159,7 @@ mod tests {
     fn deltas_shrink_to_zero() {
         let (_, mut p) = propagator(CHAIN);
         let values = default_values(&p);
-        let out = relax_partitioned(&mut p, &values, 20, 1, true, &Collector::disabled());
+        let out = relax_partitioned(&mut p, &values, 20, 1, None, &Collector::disabled());
         let last = out.trace.last().unwrap();
         assert_eq!(last.changed_sets, 0);
         assert_eq!(last.max_delta, 0.0);
@@ -1189,7 +1172,7 @@ mod tests {
     fn fub_means_tracked_per_iteration() {
         let (nl, mut p) = propagator(CHAIN);
         let values = default_values(&p);
-        let out = relax_partitioned(&mut p, &values, 20, 1, true, &Collector::disabled());
+        let out = relax_partitioned(&mut p, &values, 20, 1, None, &Collector::disabled());
         for s in &out.trace {
             assert_eq!(s.fub_seq_mean.len(), nl.fub_count());
             for &m in &s.fub_seq_mean {
@@ -1206,14 +1189,16 @@ mod tests {
             let mut runs = Vec::new();
             for threads in [1usize, 2, 3, 8] {
                 let mut p = p0.clone();
-                // `_exact` so the multi-thread variants genuinely shard:
+                // Unclamped, so the multi-thread variants genuinely shard:
                 // the clamped entry point would run CHAIN sequentially.
-                let out = relax_partitioned_exact(
+                let out = relax_partitioned_inner(
                     &mut p,
                     &values,
                     20,
                     threads,
+                    threads,
                     incremental,
+                    None,
                     &Collector::disabled(),
                 );
                 assert!(out.converged, "threads={threads}");
@@ -1260,12 +1245,12 @@ mod tests {
         let values = default_values(&p0);
         // The clamped entry point drops to 1 worker below the crossover…
         let mut p = p0.clone();
-        let clamped = relax_partitioned(&mut p, &values, 20, 8, true, &Collector::disabled());
+        let clamped = relax_partitioned(&mut p, &values, 20, 8, None, &Collector::disabled());
         assert!(clamped.trace.iter().all(|s| s.effective_threads == 1));
         // …the exact variant honors the request…
         let mut p_exact = p0.clone();
         let exact =
-            relax_partitioned_exact(&mut p_exact, &values, 20, 8, true, &Collector::disabled());
+            relax_partitioned_exact(&mut p_exact, &values, 20, 8, None, &Collector::disabled());
         assert!(exact.trace.iter().all(|s| s.effective_threads == 8));
         // …and both produce bit-identical annotations and telemetry.
         assert_eq!(p.fwd, p_exact.fwd);
@@ -1274,7 +1259,7 @@ mod tests {
         assert_eq!(clamped.iterations, exact.iterations);
         // Sequential requests pass through the clamp untouched.
         let mut p1 = p0.clone();
-        let seq = relax_partitioned(&mut p1, &values, 20, 1, true, &Collector::disabled());
+        let seq = relax_partitioned(&mut p1, &values, 20, 1, None, &Collector::disabled());
         assert!(seq.trace.iter().all(|s| s.effective_threads == 1));
     }
 
@@ -1283,7 +1268,7 @@ mod tests {
         let (_, mut p) = propagator(CHAIN);
         let values = default_values(&p);
         let obs = Collector::new();
-        relax_partitioned(&mut p, &values, 20, 8, true, &obs);
+        relax_partitioned(&mut p, &values, 20, 8, None, &obs);
         let spans = obs.spans();
         let sweeps: Vec<_> = spans.iter().filter(|s| s.name == "relax.sweep").collect();
         assert!(!sweeps.is_empty());
@@ -1305,7 +1290,7 @@ mod tests {
     fn wall_time_is_recorded_per_iteration() {
         let (_, mut p) = propagator(CHAIN);
         let values = default_values(&p);
-        let out = relax_partitioned_exact(&mut p, &values, 20, 2, true, &Collector::disabled());
+        let out = relax_partitioned_exact(&mut p, &values, 20, 2, None, &Collector::disabled());
         assert!(!out.trace.is_empty());
         for s in &out.trace {
             assert!(s.wall_seconds >= 0.0);

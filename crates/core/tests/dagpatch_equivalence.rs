@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 
-use seqavf_core::compile::CompiledSweep;
+use seqavf_core::compile::{CompileStats, CompiledSweep, PatchStats};
 use seqavf_core::engine::{SartConfig, SartEngine, WarmStatus};
 use seqavf_core::fixpoint::StoredFixpoint;
 use seqavf_core::mapping::{PavfInputs, StructureMapping};
@@ -97,8 +97,8 @@ fn layout(stored: &StoredFixpoint) -> Vec<(&str, usize)> {
 
 /// Patches `old` for the edited design at `threads` and asserts the
 /// result evaluates bit-identically to a cold recompile, for the base
-/// table and a couple of shifted workload tables. Returns
-/// `(ops_patched, total_new_ops)`.
+/// table and a couple of shifted workload tables. Returns the patch
+/// stats with the patched DAG's totals (`stats()`).
 fn assert_patch_matches_cold(
     old: &CompiledSweep,
     stored: &StoredFixpoint,
@@ -106,7 +106,7 @@ fn assert_patch_matches_cold(
     mapping: &StructureMapping,
     inputs: &PavfInputs,
     threads: usize,
-) -> (usize, usize) {
+) -> (PatchStats, CompileStats) {
     let config = SartConfig {
         threads,
         ..SartConfig::default()
@@ -148,8 +148,7 @@ fn assert_patch_matches_cold(
             assert_eq!(x.to_bits(), y.to_bits());
         }
     }
-    let total_ops = patched.stats().sum_ops + patched.stats().min_ops;
-    (stats.nodes_patched(), total_ops)
+    (stats, patched.stats())
 }
 
 proptest! {
@@ -209,8 +208,9 @@ proptest! {
     }
 }
 
-/// One-FUB edit: the patch touches strictly fewer ops than the DAG holds
-/// — the proportional-to-edit claim — at every thread count.
+/// One-FUB edit: the patch adds strictly fewer ops than the DAG holds and
+/// re-lowers strictly fewer slots than it has — the proportional-to-edit
+/// claim — at every thread count.
 #[test]
 fn one_fub_edit_patches_strictly_less_than_the_dag() {
     let (base, mapping, inputs) = base_revision(5);
@@ -219,11 +219,18 @@ fn one_fub_edit_patches_strictly_less_than_the_dag() {
     assert_ne!(edited, base);
     let nl = flatten::parse_netlist(&edited).unwrap();
     for threads in [1usize, 2, 8] {
-        let (patched_ops, total_ops) =
-            assert_patch_matches_cold(&old, &stored, &nl, &mapping, &inputs, threads);
+        let (st, dag) = assert_patch_matches_cold(&old, &stored, &nl, &mapping, &inputs, threads);
+        let total_ops = dag.sum_ops + dag.min_ops;
         assert!(
-            patched_ops < total_ops,
-            "one-FUB edit patched {patched_ops} of {total_ops} ops — not proportional"
+            st.ops_added < total_ops,
+            "one-FUB edit added {} of {total_ops} ops — not proportional",
+            st.ops_added
+        );
+        assert!(
+            st.slots_relowered < dag.nodes,
+            "one-FUB edit re-lowered {} of {} slots — not proportional",
+            st.slots_relowered,
+            dag.nodes
         );
     }
 }

@@ -2,7 +2,7 @@
 //! *content*, structure mapping, and the result-affecting configuration
 //! fields — a single-gate mutation invalidates it, a byte-identical
 //! netlist parsed from a differently named file reuses it, and execution
-//! strategy knobs (`threads`, `incremental`) never invalidate it — and
+//! strategy knob `threads` never invalidates it — and
 //! cache hits must reproduce bit-identical node AVFs.
 
 use std::path::{Path, PathBuf};
@@ -208,25 +208,22 @@ fn corrupt_artifact_degrades_to_a_miss() {
 
 #[test]
 fn execution_strategy_fields_do_not_poison_the_key() {
-    // `threads` and `incremental` pick how the fixpoint is computed, not
-    // which fixpoint — results are bit-identical by design, so every
-    // combination must map to the same cache key.
+    // `threads` picks how the fixpoint is computed, not which fixpoint —
+    // results are bit-identical by design, so every thread count must map
+    // to the same cache key.
     let nl = parse_netlist(DESIGN).unwrap();
     let map = StructureMapping::new();
     let base_key = cache_key(&nl, &map, &SartConfig::default());
     for threads in [0, 1, 2, 8, 32] {
-        for incremental in [false, true] {
-            let cfg = SartConfig {
-                threads,
-                incremental,
-                ..SartConfig::default()
-            };
-            assert_eq!(
-                cache_key(&nl, &map, &cfg),
-                base_key,
-                "threads={threads} incremental={incremental} must not change the key"
-            );
-        }
+        let cfg = SartConfig {
+            threads,
+            ..SartConfig::default()
+        };
+        assert_eq!(
+            cache_key(&nl, &map, &cfg),
+            base_key,
+            "threads={threads} must not change the key"
+        );
     }
     // Result-affecting fields still must.
     let other = SartConfig {
@@ -237,23 +234,21 @@ fn execution_strategy_fields_do_not_poison_the_key() {
 }
 
 #[test]
-fn thread_count_and_incremental_changes_hit_the_same_artifact() {
+fn thread_count_changes_hit_the_same_artifact() {
     // Regression for the key poisoning bug: a `--threads 8` sweep must
     // reuse (and bitwise reproduce) the artifact a `--threads 1` sweep
-    // wrote, with `--no-incremental` thrown in for good measure.
+    // wrote.
     let dir = temp_cache("exec-fields");
     let nl = parse_netlist(DESIGN).unwrap();
     let obs = Collector::new();
     let one_thread = SartConfig {
         threads: 1,
-        incremental: true,
         ..SartConfig::default()
     };
     let first = sweep(&nl, &one_thread, &dir, &obs);
     assert_eq!(first.cache, CacheStatus::Miss);
     let eight_threads = SartConfig {
         threads: 8,
-        incremental: false,
         ..SartConfig::default()
     };
     let second = sweep(&nl, &eight_threads, &dir, &obs);
@@ -390,14 +385,22 @@ fn warm_sweep_patches_the_cached_dag_after_an_edit() {
     let total_ops = second.stats.sum_ops + second.stats.min_ops;
     assert!(st.ops_retained > 0, "a one-gate edit must retain ops");
     assert!(
-        st.nodes_patched() < total_ops,
-        "patched {} of {total_ops} ops — not proportional to the edit",
-        st.nodes_patched()
+        st.slots_relowered > 0,
+        "a one-gate edit must re-lower slots"
+    );
+    assert!(
+        st.ops_added < total_ops,
+        "added {} of {total_ops} ops — not proportional to the edit",
+        st.ops_added
     );
     let report = obs.report();
     assert_eq!(report.counter("sweep.patch.hit"), Some(1));
     assert_eq!(report.counter("sweep.patch.full_rebuild"), None);
-    assert!(report.counter("sweep.patch.nodes_patched").is_some());
+    assert_eq!(
+        report.counter("sweep.patch.slots_relowered"),
+        Some(st.slots_relowered as u64)
+    );
+    assert!(report.counter("sweep.patch.ops_added").is_some());
 
     // The patched DAG's rows match an independent, cache-less cold sweep.
     let cold = run_sweep_with_loops_traced(
@@ -436,7 +439,8 @@ fn warm_sweep_patches_the_cached_dag_after_an_edit() {
     seqavf_obs::validate_trace(&text).expect("patch trace validates");
     assert!(text.contains("sweep.patch"), "span missing from trace");
     assert!(text.contains("sweep.patch.hit"));
-    assert!(text.contains("sweep.patch.nodes_patched"));
+    assert!(text.contains("sweep.patch.slots_relowered"));
+    assert!(text.contains("sweep.patch.ops_added"));
     assert!(text.contains("sweep.patch.nodes_orphaned"));
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -37,15 +37,15 @@ impl AsRef<PavfInputs> for NamedTable {
 
 /// Result-affecting configuration overrides. Absent fields fall back to
 /// [`seqavf_core::engine::SartConfig::default`] (and the server's thread
-/// budget for execution).
+/// budget for execution). Unknown fields are ignored, so a request that
+/// still sends the retired `global` switch gets the default route and the
+/// same cache entry as one that omits it.
 #[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
 pub struct RequestConfig {
     /// Back-edge pAVF for loop bits (default 0.3; must be in `[0, 1]`).
     pub loop_pavf: Option<f64>,
     /// Relaxation iteration cap (default 20).
     pub iterations: Option<u64>,
-    /// `true` selects the global (non-partitioned) solver.
-    pub global: Option<bool>,
 }
 
 /// The `POST /v1/avf` request body.
@@ -186,9 +186,13 @@ pub struct DesignUpdateResponse {
     /// Why the patch fell back to a full recompile, when `dag` is
     /// `"rebuilt"`.
     pub dag_reason: Option<String>,
-    /// Slots re-lowered plus ops freshly added by the patch — the
-    /// dirty-cone share of the DAG (0 unless `dag` is `"patched"`).
-    pub ops_patched: u64,
+    /// Node slots the patch re-lowered — the dirty cone's share of the
+    /// DAG's slots (0 unless `dag` is `"patched"`).
+    pub slots_relowered: u64,
+    /// Sum + MIN ops the patch lowered fresh for the dirty cone (0 unless
+    /// `dag` is `"patched"`; may be 0 even then when the cone's closed
+    /// forms all deduplicate against retained ops).
+    pub ops_added: u64,
     /// Old DAG ops dropped at compaction because no retained slot
     /// references them (0 unless `dag` is `"patched"`).
     pub ops_orphaned: u64,
@@ -220,7 +224,6 @@ mod tests {
             config: Some(RequestConfig {
                 loop_pavf: Some(0.25),
                 iterations: Some(12),
-                global: None,
             }),
             base_inputs: None,
             tables: vec![NamedTable {
@@ -236,7 +239,6 @@ mod tests {
         assert_eq!(back.design_ref, None);
         assert_eq!(back.config.as_ref().unwrap().loop_pavf, Some(0.25));
         assert_eq!(back.config.as_ref().unwrap().iterations, Some(12));
-        assert_eq!(back.config.as_ref().unwrap().global, None);
         assert_eq!(back.tables.len(), 1);
         assert_eq!(back.tables[0].workload, "w0");
         assert_eq!(back.include_nodes, Some(true));

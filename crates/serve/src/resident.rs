@@ -516,9 +516,6 @@ impl Resident {
             }
             config.max_iterations = n as usize;
         }
-        if let Some(g) = rc.global {
-            config.partitioned = !g;
-        }
         Ok(config)
     }
 
@@ -620,16 +617,11 @@ impl Resident {
             // re-POST): nothing relaxed, nothing walked.
             None => ("resident", None, 0, 0, 0),
         };
-        let (dag, dag_reason, ops_patched, ops_orphaned) = match patch {
-            Some(PatchStatus::Patched(st)) => (
-                "patched",
-                None,
-                st.nodes_patched() as u64,
-                st.ops_orphaned as u64,
-            ),
-            Some(PatchStatus::Rebuilt(r)) => ("rebuilt", Some(r.to_owned()), 0, 0),
-            None if fresh.is_some() => ("compiled", None, 0, 0),
-            None => ("resident", None, 0, 0),
+        let (dag, dag_reason, st) = match patch {
+            Some(PatchStatus::Patched(st)) => ("patched", None, st),
+            Some(PatchStatus::Rebuilt(r)) => ("rebuilt", Some(r.to_owned()), Default::default()),
+            None if fresh.is_some() => ("compiled", None, Default::default()),
+            None => ("resident", None, Default::default()),
         };
         Ok(DesignUpdateResponse {
             design_ref: format!("{key:016x}"),
@@ -642,8 +634,9 @@ impl Resident {
             node_count,
             dag: dag.to_owned(),
             dag_reason,
-            ops_patched,
-            ops_orphaned,
+            slots_relowered: st.slots_relowered as u64,
+            ops_added: st.ops_added as u64,
+            ops_orphaned: st.ops_orphaned as u64,
         })
     }
 }
@@ -807,6 +800,35 @@ mod tests {
         let again = r.handle(&by_ref).unwrap();
         assert_eq!(again.sweep_cache, "hit");
         assert_eq!(row_bits(&again.rows), row_bits(&loaded.rows));
+    }
+
+    #[test]
+    fn retired_global_field_cannot_fork_the_cache() {
+        // `config.global` once selected the unpartitioned solver and
+        // keyed its own DAG. The field is gone and the vendored serde
+        // ignores unknown fields, so a client that still sends it gets
+        // the resident DAG and the same rows.
+        let dir = scratch("retired-global");
+        let (design, map) = write_design(&dir, 9);
+        let r = Resident::new(ResidentConfig::default(), Collector::new());
+        let loaded = r.handle(&request(&design, &map, 2)).unwrap();
+        let by_ref = AvfRequest {
+            design_path: None,
+            map_path: None,
+            design_ref: Some(loaded.design_ref.clone()),
+            ..request(&design, &map, 2)
+        };
+        let first = r.handle(&by_ref).unwrap();
+        assert_eq!(first.sweep_cache, "hit");
+        let text = serde_json::to_string(&by_ref).unwrap();
+        assert!(text.contains("\"config\":null"), "{text}");
+        let with_global: AvfRequest =
+            serde_json::from_str(&text.replace("\"config\":null", "\"config\":{\"global\":true}"))
+                .unwrap();
+        assert!(with_global.config.is_some());
+        let second = r.handle(&with_global).unwrap();
+        assert_eq!(second.sweep_cache, "hit");
+        assert_eq!(row_bits(&second.rows), row_bits(&first.rows));
     }
 
     #[test]
@@ -1112,12 +1134,14 @@ mod tests {
             .unwrap();
         assert_eq!(upd.mode, "warm", "reason: {:?}", upd.reason);
         assert_eq!(upd.dag, "patched", "dag_reason: {:?}", upd.dag_reason);
-        assert!(upd.ops_patched > 0, "{upd:?}");
+        assert!(upd.slots_relowered > 0, "{upd:?}");
+        assert!(upd.slots_relowered < upd.node_count, "{upd:?}");
         let report = r.obs().report();
         assert_eq!(report.counter("sweep.patch.hit"), Some(1));
         assert_eq!(report.counter("sweep.patch.full_rebuild"), None);
-        let patched_nodes = report.counter("sweep.patch.nodes_patched").unwrap_or(0);
-        assert_eq!(patched_nodes, upd.ops_patched);
+        let counter = |name| report.counter(name).unwrap_or(0);
+        assert_eq!(counter("sweep.patch.slots_relowered"), upd.slots_relowered);
+        assert_eq!(counter("sweep.patch.ops_added"), upd.ops_added);
 
         // The patched DAG serves rows bit-identical to a fresh server
         // cold-solving the edited design.

@@ -243,13 +243,20 @@ fn design_update_surfaces_patch_counters_in_metrics() {
     let upd: DesignUpdateResponse = serde_json::from_str(&body).unwrap();
     assert_eq!(upd.mode, "warm", "reason: {:?}", upd.reason);
     assert_eq!(upd.dag, "patched", "dag_reason: {:?}", upd.dag_reason);
-    assert!(upd.ops_patched > 0);
+    assert!(upd.slots_relowered > 0);
 
     let (status, metrics) = client::get(addr, "/metrics").unwrap();
     assert_eq!(status, 200);
     assert!(metrics.contains("seqavf_sweep_patch_hit 1"), "{metrics}");
     assert!(
-        metrics.contains("seqavf_sweep_patch_nodes_patched"),
+        metrics.contains(&format!(
+            "seqavf_sweep_patch_slots_relowered {}",
+            upd.slots_relowered
+        )),
+        "{metrics}"
+    );
+    assert!(
+        metrics.contains("seqavf_sweep_patch_ops_added"),
         "{metrics}"
     );
     assert!(

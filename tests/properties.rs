@@ -218,14 +218,9 @@ proptest! {
     fn partitioned_equals_global((recipe, fubs) in recipe_strategy()) {
         let nl = build_circuit(&recipe, fubs);
         let inputs = inputs_with(0.25, 0.35);
-        let part = SartEngine::new(&nl, &StructureMapping::new(), SartConfig::default())
-            .run(&inputs);
-        let glob = SartEngine::new(
-            &nl,
-            &StructureMapping::new(),
-            SartConfig { partitioned: false, ..SartConfig::default() },
-        )
-        .run(&inputs);
+        let engine = SartEngine::new(&nl, &StructureMapping::new(), SartConfig::default());
+        let part = engine.run(&inputs);
+        let glob = engine.run_global(&inputs);
         prop_assert!(part.outcome.converged);
         for id in nl.nodes() {
             prop_assert!(
@@ -276,14 +271,9 @@ proptest! {
         let mut inputs = PavfInputs::new();
         inputs.set_port("g0.sa", 0.2, 0.6);
         let config = SartConfig { max_iterations: 64, ..SartConfig::default() };
-        let part = SartEngine::new(&nl, &StructureMapping::new(), config.clone())
-            .run(&inputs);
-        let glob = SartEngine::new(
-            &nl,
-            &StructureMapping::new(),
-            SartConfig { partitioned: false, ..config },
-        )
-        .run(&inputs);
+        let engine = SartEngine::new(&nl, &StructureMapping::new(), config);
+        let part = engine.run(&inputs);
+        let glob = engine.run_global(&inputs);
         prop_assert!(part.outcome.converged);
         prop_assert!(glob.outcome.converged);
         for id in nl.nodes() {
@@ -330,25 +320,16 @@ proptest! {
         let mut inputs = PavfInputs::new();
         inputs.set_port("g0.sa", 0.3, 0.45);
         let config = SartConfig { max_iterations: 64, ..SartConfig::default() };
-        let glob = SartEngine::new(
-            &nl,
-            &StructureMapping::new(),
-            SartConfig { partitioned: false, ..config.clone() },
-        )
-        .run(&inputs);
+        let glob = SartEngine::new(&nl, &StructureMapping::new(), config.clone())
+            .run_global(&inputs);
         for threads in [1usize, 2, 8] {
-            let full = SartEngine::new(
+            let engine = SartEngine::new(
                 &nl,
                 &StructureMapping::new(),
-                SartConfig { threads, incremental: false, ..config.clone() },
-            )
-            .run(&inputs);
-            let inc = SartEngine::new(
-                &nl,
-                &StructureMapping::new(),
-                SartConfig { threads, incremental: true, ..config.clone() },
-            )
-            .run(&inputs);
+                SartConfig { threads, ..config.clone() },
+            );
+            let full = engine.run_full_sweeps(&inputs);
+            let inc = engine.run(&inputs);
             prop_assert!(inc.outcome.converged);
             prop_assert_eq!(&full.fwd, &inc.fwd, "fwd mismatch at {} threads", threads);
             prop_assert_eq!(&full.bwd, &inc.bwd, "bwd mismatch at {} threads", threads);
