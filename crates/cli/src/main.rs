@@ -44,13 +44,10 @@ use seqavf_core::mapping::{PavfInputs, StructureMapping};
 use seqavf_core::report::SartSummary;
 use seqavf_core::sweep::{fixpoint_key, solve};
 use seqavf_netlist::exlif;
-use seqavf_netlist::flatten;
 use seqavf_netlist::graph::Netlist;
-use seqavf_netlist::scc::{find_loops_traced, LoopAnalysis};
+use seqavf_netlist::scc::LoopAnalysis;
 use seqavf_netlist::snapshot;
 use seqavf_netlist::synth::{generate, SynthConfig};
-use seqavf_netlist::verilog;
-use seqavf_netlist::Fnv1a64;
 use seqavf_obs::Collector;
 use seqavf_perf::pipeline::PerfConfig;
 use seqavf_workloads::suite::{standard_suite, SuiteConfig};
@@ -226,58 +223,17 @@ impl Obs {
     }
 }
 
-/// Loads a design, selecting the frontend by file extension: `.v`/`.sv`
-/// use the structural-Verilog parser, everything else the EXLIF parser.
-///
-/// When `cache` names a `--graph-cache` directory, the flattened graph and
-/// its loop analysis are stored there as a `seqavf-graph/2` snapshot keyed
-/// by the source text (and frontend), so a repeat run of the same file
-/// skips parse, flatten and SCC entirely. A missing, truncated or
-/// corrupted snapshot silently degrades to a fresh parse; a successful
-/// load bumps the `frontend.snapshot.hit` counter, a rebuild bumps
-/// `frontend.snapshot.miss`.
+/// Loads a design (`.v`/`.sv` as structural Verilog, anything else as
+/// EXLIF) through the shared graph-cache loader,
+/// [`snapshot::load_or_parse`], against the `--graph-cache` directory.
 fn load_design(
     path: &str,
     obs: &Collector,
     cache: Option<&str>,
 ) -> Result<(Netlist, Option<LoopAnalysis>), String> {
     let text = read_file(path)?;
-    let is_verilog = path.ends_with(".v") || path.ends_with(".sv");
-    let snap_path = cache.map(|dir| {
-        let mut h = Fnv1a64::new();
-        h.update(if is_verilog { b"verilog" } else { b"exlif" });
-        h.update(&[0]);
-        h.update(text.as_bytes());
-        std::path::Path::new(dir).join(format!("graph-{:016x}.bin", h.finish()))
-    });
-    if let Some(p) = &snap_path {
-        if let Ok(bytes) = std::fs::read(p) {
-            if let Ok((nl, loops)) = snapshot::load(&bytes) {
-                obs.count("frontend.snapshot.hit", 1);
-                return Ok((nl, Some(loops)));
-            }
-        }
-    }
-    let result = if is_verilog {
-        verilog::parse_netlist_traced(&text, obs)
-    } else {
-        flatten::parse_netlist_traced(&text, obs)
-    };
-    let nl = result.map_err(|e| format!("parsing {path}: {e}"))?;
-    match snap_path {
-        None => Ok((nl, None)),
-        Some(p) => {
-            obs.count("frontend.snapshot.miss", 1);
-            let loops = find_loops_traced(&nl, obs);
-            // Best-effort store: a failed write only costs the next run a
-            // recompute, never the current one its answer.
-            if let Some(dir) = p.parent() {
-                let _ = std::fs::create_dir_all(dir);
-            }
-            let _ = std::fs::write(&p, snapshot::save(&nl, &loops));
-            Ok((nl, Some(loops)))
-        }
-    }
+    let cache = cache.map(|dir| (std::path::Path::new(dir), snapshot::design_key(path, &text)));
+    snapshot::load_or_parse(path, &text, cache, obs).map_err(|e| format!("parsing {path}: {e}"))
 }
 
 fn cmd_gen(args: &Args) -> Result<(), String> {
@@ -733,7 +689,9 @@ fn cmd_validate(args: &Args) -> Result<(), String> {
         loops.as_ref(),
         &obs.collector,
     )?;
-    let node_avfs = compiled.evaluate_traced(&inputs, &obs.collector);
+    let node_avfs = compiled
+        .evaluate_many_traced(std::slice::from_ref(&inputs), 1, &obs.collector)
+        .swap_remove(0);
     let targets: Vec<_> = netlist.seq_nodes().collect();
     // The prediction of what injection measures: the SART AVF derated by
     // the propagation-probability model (logical masking under random

@@ -28,26 +28,38 @@
 //! test (`tests/compiled_equivalence.rs`) pins this contract against the
 //! interpreter and against fresh relaxations.
 //!
-//! [`CompiledSweep`] also serializes to a versioned text artifact
-//! ([`CompiledSweep::to_text`] / [`CompiledSweep::from_text`]) so the sweep
-//! cache ([`crate::sweep`]) can skip relaxation entirely on repeated
-//! sweeps of the same design.
+//! [`CompiledSweep`] also serializes to the sealed binary artifact
+//! `seqavf-sweep/3` ([`CompiledSweep::encode`] / [`CompiledSweep::decode`]),
+//! built on the same section codec as the graph snapshot and the
+//! fixpoint, so the sweep cache ([`crate::sweep`]) can skip relaxation
+//! entirely on repeated sweeps of the same design.
 
 use std::collections::HashMap;
 
 use seqavf_netlist::graph::{Netlist, NodeKind};
+use seqavf_netlist::snapshot::{
+    open_sealed, put_delta, put_section, put_string, put_varint, seal, Cursor, SnapshotError,
+    SWEEP_MAGIC, SWEEP_MAGIC_FAMILY,
+};
 use seqavf_obs::Collector;
 
-use crate::arena::{SetId, TermKind, TermTable};
+use crate::arena::{SetId, TermTable};
 use crate::classify::NodeRole;
 use crate::engine::{term_values, SartConfig, SartResult};
-use crate::fixpoint::nodes_by_fub;
+use crate::fixpoint::{nodes_by_fub, put_term, read_term};
 use crate::mapping::PavfInputs;
 
 /// Lane width of the batched evaluator: how many workload tables one op
 /// walk evaluates together. Sized so the per-op lane arrays fit in stack
 /// registers/L1 while still amortizing slot decode over a useful batch.
 const MAX_LANES: usize = 16;
+
+const SEC_META: u8 = 1;
+const SEC_TERMS: u8 = 2;
+const SEC_SUMS: u8 = 3;
+const SEC_MINS: u8 = 4;
+const SEC_PERF: u8 = 5;
+const SEC_SLOTS: u8 = 6;
 
 /// How one netlist node obtains its AVF from the evaluated DAG.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -577,17 +589,6 @@ impl CompiledSweep {
         self.evaluate_with(inputs, &mut scratch)
     }
 
-    /// [`CompiledSweep::evaluate`] with observability: one `sweep.eval`
-    /// span per workload.
-    pub fn evaluate_traced(&self, inputs: &PavfInputs, obs: &Collector) -> Vec<f64> {
-        let mut span = obs.span("sweep.eval");
-        let mut scratch = EvalScratch::default();
-        let avf = self.evaluate_with(inputs, &mut scratch);
-        span.field_u64("nodes", avf.len() as u64);
-        span.finish();
-        avf
-    }
-
     /// Evaluates the op arrays (sums, MINs, struct overrides) for one
     /// table into `scratch`; [`CompiledSweep::slot_value`] then reads any
     /// node's AVF out of the filled scratch.
@@ -872,201 +873,175 @@ impl CompiledSweep {
     // Artifact serialization (the sweep cache's on-disk format)
     // -----------------------------------------------------------------
 
-    /// Serializes the compiled DAG to the versioned `seqavf-sweep/2` text
-    /// artifact. Term and performance-structure names are stored verbatim
-    /// on their own lines, so any name is safe except ones containing a
-    /// newline (impossible for parsed netlists).
+    /// Serializes the compiled DAG to the sealed `seqavf-sweep/3`
+    /// artifact: the shared section codec of [`seqavf_netlist::snapshot`]
+    /// with one section per op array.
     ///
-    /// v2 embeds [`SartConfig::result_key`] instead of the full `Debug`
-    /// rendering, so artifacts written at one thread count load under any
-    /// other — `threads` never changes the result. v1 artifacts are rejected as unknown and
-    /// degrade to a recompute.
-    pub fn to_text(&self) -> String {
-        let mut out = String::from("seqavf-sweep/2\n");
-        out.push_str(&format!("config {}\n", self.config.result_key()));
-        out.push_str(&format!("terms {}\n", self.terms.len()));
+    /// META embeds [`SartConfig::result_key`] instead of the whole
+    /// configuration, so an artifact written at one thread count loads
+    /// under any other — `threads` never changes the result. Index lists
+    /// are zigzag deltas: sum terms against the previous term of the op,
+    /// MIN operands against the previous op's forward operand (backward
+    /// against forward), slot MIN indices against the previous slot's.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = SWEEP_MAGIC.to_vec();
+
+        let mut p = Vec::new();
+        put_string(&mut p, &self.config.result_key());
+        put_varint(&mut p, self.arena_sets as u64);
+        put_section(&mut out, SEC_META, &p);
+
+        let mut p = Vec::new();
+        put_varint(&mut p, self.terms.len() as u64);
         for (_, kind) in self.terms.iter() {
-            match kind {
-                TermKind::Top => out.push_str("T\n"),
-                TermKind::ReadPort(s) => out.push_str(&format!("R {s}\n")),
-                TermKind::WritePort(s) => out.push_str(&format!("W {s}\n")),
-                TermKind::Injected(s) => out.push_str(&format!("I {s}\n")),
+            put_term(&mut p, kind);
+        }
+        put_section(&mut out, SEC_TERMS, &p);
+
+        let mut p = Vec::new();
+        put_varint(&mut p, (self.sum_bounds.len() - 1) as u64);
+        for w in self.sum_bounds.windows(2) {
+            let terms = &self.sum_terms[w[0] as usize..w[1] as usize];
+            put_varint(&mut p, terms.len() as u64);
+            let mut prev = 0;
+            for &t in terms {
+                put_delta(&mut p, prev, t as usize);
+                prev = t as usize;
             }
         }
-        out.push_str(&format!("sums {}\n", self.sum_bounds.len() - 1));
-        for k in 0..self.sum_bounds.len() - 1 {
-            let lo = self.sum_bounds[k] as usize;
-            let hi = self.sum_bounds[k + 1] as usize;
-            let terms: Vec<String> = self.sum_terms[lo..hi].iter().map(u32::to_string).collect();
-            out.push_str(&terms.join(" "));
-            out.push('\n');
-        }
-        out.push_str(&format!("mins {}\n", self.mins.len()));
+        put_section(&mut out, SEC_SUMS, &p);
+
+        let mut p = Vec::new();
+        put_varint(&mut p, self.mins.len() as u64);
+        let mut prev = 0;
         for &(a, b) in &self.mins {
-            out.push_str(&format!("{a} {b}\n"));
+            put_delta(&mut p, prev, a as usize);
+            put_delta(&mut p, a as usize, b as usize);
+            prev = a as usize;
         }
-        out.push_str(&format!("perf {}\n", self.perf_names.len()));
+        put_section(&mut out, SEC_MINS, &p);
+
+        let mut p = Vec::new();
+        put_varint(&mut p, self.perf_names.len() as u64);
         for name in &self.perf_names {
-            out.push_str(name);
-            out.push('\n');
+            put_string(&mut p, name);
         }
-        out.push_str(&format!("slots {}\n", self.slots.len()));
-        for slot in &self.slots {
-            match *slot {
-                Slot::Min(m) => out.push_str(&format!("m {m}\n")),
-                Slot::Ctrl => out.push_str("c\n"),
-                Slot::Loop => out.push_str("l\n"),
-                Slot::Struct { perf, min } => out.push_str(&format!("s {perf} {min}\n")),
+        put_section(&mut out, SEC_PERF, &p);
+
+        let mut p = Vec::new();
+        put_varint(&mut p, self.slots.len() as u64);
+        let mut prev = 0;
+        for &slot in &self.slots {
+            match slot {
+                Slot::Min(m) => {
+                    p.push(0);
+                    put_delta(&mut p, prev, m as usize);
+                    prev = m as usize;
+                }
+                Slot::Ctrl => p.push(1),
+                Slot::Loop => p.push(2),
+                Slot::Struct { perf, min } => {
+                    p.push(3);
+                    put_varint(&mut p, u64::from(perf));
+                    put_delta(&mut p, prev, min as usize);
+                    prev = min as usize;
+                }
             }
         }
-        out.push_str(&format!("arena {}\n", self.arena_sets));
-        out.push_str("end\n");
+        put_section(&mut out, SEC_SLOTS, &p);
+        seal(&mut out);
         out
     }
 
-    /// Parses a `seqavf-sweep/2` artifact back into a compiled DAG. The
-    /// caller supplies the configuration it expects (the cache key binds
-    /// it); a stored artifact whose embedded *result key* differs is
-    /// rejected — the execution-only `threads` may differ freely. Every index is bounds-checked — a corrupt artifact
-    /// yields `Err`, never a panic or an out-of-range evaluator.
-    pub fn from_text(text: &str, config: &SartConfig) -> Result<CompiledSweep, String> {
-        let mut lines = text.lines().enumerate();
-        let mut next = |what: &str| -> Result<(usize, &str), String> {
-            lines
-                .next()
-                .map(|(i, l)| (i + 1, l))
-                .ok_or_else(|| format!("truncated artifact: missing {what}"))
-        };
-        let (_, header) = next("header")?;
-        if header != "seqavf-sweep/2" {
-            return Err(format!("unknown artifact header `{header}`"));
-        }
-        let (_, cfg_line) = next("config")?;
-        let embedded = cfg_line
-            .strip_prefix("config ")
-            .ok_or("expected `config` line")?;
-        if embedded != config.result_key() {
-            return Err("artifact configuration does not match the request".to_owned());
-        }
-        let section_count = |line: &str, tag: &str| -> Result<usize, String> {
-            line.strip_prefix(tag)
-                .and_then(|r| r.strip_prefix(' '))
-                .and_then(|r| r.parse().ok())
-                .ok_or_else(|| format!("expected `{tag} <count>`, got `{line}`"))
-        };
+    /// Decodes a `seqavf-sweep/3` artifact into the compiled DAG for
+    /// `config`. An artifact whose embedded result key differs is
+    /// [`SnapshotError::KeyMismatch`]; the execution-only `threads` may
+    /// differ freely. Every count is bounded by the bytes left and every
+    /// index is bounds-checked, so damaged bytes yield `Err` — never a
+    /// panic, an abort, or an out-of-range evaluator.
+    pub fn decode(bytes: &[u8], config: &SartConfig) -> Result<CompiledSweep, SnapshotError> {
+        let mut top = Cursor::new(open_sealed(bytes, SWEEP_MAGIC, SWEEP_MAGIC_FAMILY)?);
 
-        let (_, l) = next("terms section")?;
-        let n_terms = section_count(l, "terms")?;
-        let mut terms = TermTable::new();
+        let mut s = top.section(SEC_META)?;
+        if s.string()? != config.result_key() {
+            return Err(SnapshotError::KeyMismatch);
+        }
+        let arena_sets = usize::try_from(s.varint()?).map_err(|_| SnapshotError::BadIndex)?;
+        s.end()?;
+
+        let mut s = top.section(SEC_TERMS)?;
+        let n_terms = s.count()?;
+        let mut terms = TermTable::with_capacity(n_terms);
         for k in 0..n_terms {
-            let (lineno, l) = next("term line")?;
-            let kind = match (l.chars().next(), l.get(2..)) {
-                (Some('T'), _) if l == "T" => TermKind::Top,
-                (Some('R'), Some(name)) => TermKind::ReadPort(name.to_owned()),
-                (Some('W'), Some(name)) => TermKind::WritePort(name.to_owned()),
-                (Some('I'), Some(name)) => TermKind::Injected(name.to_owned()),
-                _ => return Err(format!("line {lineno}: bad term `{l}`")),
-            };
-            let id = terms.intern(kind);
-            if id.index() != k {
-                return Err(format!("line {lineno}: duplicate or misordered term `{l}`"));
+            if terms.intern(read_term(&mut s)?).index() != k {
+                // A duplicate, or a non-TOP term 0.
+                return Err(SnapshotError::BadIndex);
             }
         }
+        s.end()?;
 
-        let (_, l) = next("sums section")?;
-        let n_sums = section_count(l, "sums")?;
-        let mut sum_terms: Vec<u32> = Vec::new();
-        let mut sum_bounds: Vec<u32> = vec![0];
+        let mut s = top.section(SEC_SUMS)?;
+        let n_sums = s.count()?;
+        let mut sum_terms: Vec<u32> = Vec::with_capacity(s.remaining());
+        let mut sum_bounds: Vec<u32> = Vec::with_capacity(n_sums + 1);
+        sum_bounds.push(0);
         for _ in 0..n_sums {
-            let (lineno, l) = next("sum line")?;
-            for tok in l.split_whitespace() {
-                let t: u32 = tok
-                    .parse()
-                    .map_err(|_| format!("line {lineno}: bad term index `{tok}`"))?;
-                if t as usize >= n_terms {
-                    return Err(format!("line {lineno}: term index {t} out of range"));
-                }
-                sum_terms.push(t);
+            let mut prev = 0;
+            for _ in 0..s.count()? {
+                prev = s.delta_index(prev, terms.len())?;
+                sum_terms.push(prev as u32);
             }
-            sum_bounds.push(sum_terms.len() as u32);
+            sum_bounds.push(u32::try_from(sum_terms.len()).map_err(|_| SnapshotError::BadIndex)?);
         }
+        s.end()?;
 
-        let (_, l) = next("mins section")?;
-        let n_mins = section_count(l, "mins")?;
+        let mut s = top.section(SEC_MINS)?;
+        let n_mins = s.count()?;
         let mut mins = Vec::with_capacity(n_mins);
+        let mut prev = 0;
         for _ in 0..n_mins {
-            let (lineno, l) = next("min line")?;
-            let mut it = l.split_whitespace();
-            let (Some(a), Some(b), None) = (it.next(), it.next(), it.next()) else {
-                return Err(format!("line {lineno}: expected `<a> <b>`"));
-            };
-            let a: u32 = a
-                .parse()
-                .map_err(|_| format!("line {lineno}: bad sum index `{a}`"))?;
-            let b: u32 = b
-                .parse()
-                .map_err(|_| format!("line {lineno}: bad sum index `{b}`"))?;
-            if a as usize >= n_sums || b as usize >= n_sums {
-                return Err(format!("line {lineno}: sum index out of range"));
-            }
-            mins.push((a, b));
+            let a = s.delta_index(prev, n_sums)?;
+            let b = s.delta_index(a, n_sums)?;
+            mins.push((a as u32, b as u32));
+            prev = a;
         }
+        s.end()?;
 
-        let (_, l) = next("perf section")?;
-        let n_perf = section_count(l, "perf")?;
-        let mut perf_names = Vec::with_capacity(n_perf);
-        for _ in 0..n_perf {
-            let (_, l) = next("perf name")?;
-            perf_names.push(l.to_owned());
-        }
+        let mut s = top.section(SEC_PERF)?;
+        let n_perf = s.count()?;
+        let perf_names = (0..n_perf)
+            .map(|_| s.string())
+            .collect::<Result<Vec<_>, _>>()?;
+        s.end()?;
 
-        let (_, l) = next("slots section")?;
-        let n_slots = section_count(l, "slots")?;
+        let mut s = top.section(SEC_SLOTS)?;
+        let n_slots = s.count()?;
         let mut slots = Vec::with_capacity(n_slots);
+        let mut prev = 0;
         for _ in 0..n_slots {
-            let (lineno, l) = next("slot line")?;
-            let mut it = l.split_whitespace();
-            let slot = match it.next() {
-                Some("c") => Slot::Ctrl,
-                Some("l") => Slot::Loop,
-                Some("m") => {
-                    let m: u32 = it
-                        .next()
-                        .and_then(|t| t.parse().ok())
-                        .ok_or_else(|| format!("line {lineno}: bad min slot"))?;
-                    if m as usize >= n_mins {
-                        return Err(format!("line {lineno}: min index {m} out of range"));
-                    }
-                    Slot::Min(m)
+            slots.push(match s.u8()? {
+                0 => {
+                    prev = s.delta_index(prev, n_mins)?;
+                    Slot::Min(prev as u32)
                 }
-                Some("s") => {
-                    let perf: u32 = it
-                        .next()
-                        .and_then(|t| t.parse().ok())
-                        .ok_or_else(|| format!("line {lineno}: bad struct slot"))?;
-                    let min: u32 = it
-                        .next()
-                        .and_then(|t| t.parse().ok())
-                        .ok_or_else(|| format!("line {lineno}: bad struct slot"))?;
-                    if perf as usize >= n_perf || min as usize >= n_mins {
-                        return Err(format!("line {lineno}: struct slot index out of range"));
+                1 => Slot::Ctrl,
+                2 => Slot::Loop,
+                3 => {
+                    let perf = s.varint()?;
+                    if perf >= n_perf as u64 {
+                        return Err(SnapshotError::BadIndex);
                     }
-                    Slot::Struct { perf, min }
+                    prev = s.delta_index(prev, n_mins)?;
+                    Slot::Struct {
+                        perf: perf as u32,
+                        min: prev as u32,
+                    }
                 }
-                _ => return Err(format!("line {lineno}: bad slot `{l}`")),
-            };
-            if it.next().is_some() {
-                return Err(format!("line {lineno}: trailing tokens in slot `{l}`"));
-            }
-            slots.push(slot);
+                _ => return Err(SnapshotError::BadIndex),
+            });
         }
-
-        let (lineno, l) = next("arena line")?;
-        let arena_sets = section_count(l, "arena").map_err(|e| format!("line {lineno}: {e}"))?;
-        let (lineno, l) = next("end line")?;
-        if l != "end" {
-            return Err(format!("line {lineno}: expected `end`, got `{l}`"));
-        }
+        s.end()?;
+        top.end()?;
         Ok(CompiledSweep {
             config: config.clone(),
             terms,
@@ -1215,7 +1190,7 @@ mod tests {
         assert_eq!(st.ops_orphaned, 0);
         // Nothing moved, so the patched artifact is byte-identical.
         assert_eq!(patched, compiled);
-        assert_eq!(patched.to_text(), compiled.to_text());
+        assert_eq!(patched.encode(), compiled.encode());
     }
 
     #[test]
@@ -1233,15 +1208,15 @@ mod tests {
     }
 
     #[test]
-    fn patched_artifact_roundtrips_through_text() {
+    fn patched_artifact_roundtrips_bitwise() {
         let (nl, result, compiled) = compiled_fig7();
         let layout: Vec<(&str, usize)> = vec![("f", nl.node_count())];
         let clean = vec![true; nl.fub_count()];
         let (patched, _) = compiled.patch(&result, &nl, &layout, &clean).unwrap();
-        let text = patched.to_text();
-        let back = CompiledSweep::from_text(&text, &result.config).unwrap();
+        let bytes = patched.encode();
+        let back = CompiledSweep::decode(&bytes, &result.config).unwrap();
         assert_eq!(back, patched);
-        assert_eq!(back.to_text(), text);
+        assert_eq!(back.encode(), bytes);
     }
 
     #[test]
@@ -1371,8 +1346,8 @@ mod tests {
     #[test]
     fn artifact_roundtrips_bitwise() {
         let (_, _, compiled) = compiled_fig7();
-        let text = compiled.to_text();
-        let back = CompiledSweep::from_text(&text, compiled.config()).unwrap();
+        let bytes = compiled.encode();
+        let back = CompiledSweep::decode(&bytes, compiled.config()).unwrap();
         assert_eq!(back, compiled);
         let inputs = fig7_inputs();
         let a = compiled.evaluate(&inputs);
@@ -1385,15 +1360,15 @@ mod tests {
     #[test]
     fn artifact_loads_across_execution_strategy_changes() {
         // threads is not part of the result key: an artifact written
-        // under one setting parses under any other and evaluates
+        // under one setting decodes under any other and evaluates
         // bit-identically.
         let (_, _, compiled) = compiled_fig7();
-        let text = compiled.to_text();
+        let bytes = compiled.encode();
         let exec_only = SartConfig {
             threads: 8,
             ..compiled.config().clone()
         };
-        let back = CompiledSweep::from_text(&text, &exec_only)
+        let back = CompiledSweep::decode(&bytes, &exec_only)
             .expect("execution-only config changes must not reject the artifact");
         let inputs = fig7_inputs();
         for (x, y) in compiled
@@ -1408,40 +1383,35 @@ mod tests {
     #[test]
     fn artifact_rejects_config_mismatch_and_corruption() {
         let (_, _, compiled) = compiled_fig7();
-        let text = compiled.to_text();
+        let bytes = compiled.encode();
         let other = SartConfig {
             loop_pavf: 0.9,
             ..SartConfig::default()
         };
-        assert!(CompiledSweep::from_text(&text, &other)
-            .unwrap_err()
-            .contains("configuration"));
-        // Truncation anywhere must be an error, never a panic. (Cutting
-        // only the final newline leaves the content intact — `lines()`
-        // tolerates a missing trailing terminator — so stop one short.)
-        for cut in 0..text.len() - 1 {
-            if !text.is_char_boundary(cut) {
-                continue;
-            }
+        assert_eq!(
+            CompiledSweep::decode(&bytes, &other),
+            Err(SnapshotError::KeyMismatch)
+        );
+        // Truncation anywhere must be an error, never a panic.
+        for cut in 0..bytes.len() {
             assert!(
-                CompiledSweep::from_text(&text[..cut], compiled.config()).is_err(),
+                CompiledSweep::decode(&bytes[..cut], compiled.config()).is_err(),
                 "cut at {cut} accepted"
             );
         }
-        // An out-of-range term index inside a sum line is rejected.
-        let bumped: String = text
-            .lines()
-            .map(|l| {
-                if l == "0" {
-                    "999999\n".to_owned()
-                } else {
-                    format!("{l}\n")
-                }
-            })
-            .collect();
-        if bumped != text {
-            let err = CompiledSweep::from_text(&bumped, compiled.config()).unwrap_err();
-            assert!(err.contains("out of range"), "{err}");
-        }
+        // An out-of-range index under a valid seal is rejected by the
+        // bounds checks, not by the checksum.
+        let mut bad = compiled.clone();
+        bad.sum_terms[0] = 999_999;
+        assert_eq!(
+            CompiledSweep::decode(&bad.encode(), compiled.config()),
+            Err(SnapshotError::BadIndex)
+        );
+        let mut bad = compiled.clone();
+        bad.slots[0] = Slot::Min(compiled.mins.len() as u32);
+        assert_eq!(
+            CompiledSweep::decode(&bad.encode(), compiled.config()),
+            Err(SnapshotError::BadIndex)
+        );
     }
 }

@@ -14,8 +14,8 @@
 //! so the first sweep force-walks exactly them.
 //!
 //! Everything about the format is defensive: decoding is bounds-checked
-//! end to end (reusing [`snapshot::Cursor`]), the envelope carries the
-//! snapshot family's whole-file checksum, and *any* validation failure —
+//! end to end (reusing [`snapshot::Cursor`], whose counts are bounded by
+//! the bytes left), the envelope carries the shared whole-file checksum, and *any* validation failure —
 //! version, checksum, config `result_key`, mapping digest, shape — is a
 //! recoverable fallback to a cold solve, never an error the caller must
 //! handle beyond logging a miss.
@@ -26,8 +26,8 @@ use std::path::{Path, PathBuf};
 
 use seqavf_netlist::graph::{Netlist, NodeId};
 use seqavf_netlist::snapshot::{
-    open_sealed, put_section, put_u64, put_varint, seal, Cursor, SnapshotError, FIXPOINT_MAGIC,
-    FIXPOINT_MAGIC_FAMILY,
+    open_sealed, put_section, put_string, put_u64, put_varint, seal, write_atomic, Cursor,
+    SnapshotError, FIXPOINT_MAGIC, FIXPOINT_MAGIC_FAMILY,
 };
 use seqavf_netlist::Fnv1a64;
 
@@ -137,12 +137,10 @@ impl StoredFixpoint {
         out.extend_from_slice(FIXPOINT_MAGIC);
 
         let mut meta = Vec::new();
-        put_varint(&mut meta, self.design.len() as u64);
-        meta.extend_from_slice(self.design.as_bytes());
+        put_string(&mut meta, &self.design);
         put_u64(&mut meta, self.content_digest);
         put_u64(&mut meta, self.mapping_digest);
-        put_varint(&mut meta, self.result_key.len() as u64);
-        meta.extend_from_slice(self.result_key.as_bytes());
+        put_string(&mut meta, &self.result_key);
         meta.push(u8::from(self.converged));
         put_varint(&mut meta, self.node_count as u64);
         put_section(&mut out, SEC_META, &meta);
@@ -150,15 +148,7 @@ impl StoredFixpoint {
         let mut terms = Vec::new();
         put_varint(&mut terms, self.terms.len() as u64);
         for kind in &self.terms {
-            let (tag, name) = match kind {
-                TermKind::Top => (0u8, ""),
-                TermKind::ReadPort(s) => (1, s.as_str()),
-                TermKind::WritePort(s) => (2, s.as_str()),
-                TermKind::Injected(s) => (3, s.as_str()),
-            };
-            terms.push(tag);
-            put_varint(&mut terms, name.len() as u64);
-            terms.extend_from_slice(name.as_bytes());
+            put_term(&mut terms, kind);
         }
         put_section(&mut out, SEC_TERMS, &terms);
 
@@ -179,8 +169,7 @@ impl StoredFixpoint {
         let mut fubs = Vec::new();
         put_varint(&mut fubs, self.fubs.len() as u64);
         for fub in &self.fubs {
-            put_varint(&mut fubs, fub.name.len() as u64);
-            fubs.extend_from_slice(fub.name.as_bytes());
+            put_string(&mut fubs, &fub.name);
             put_u64(&mut fubs, fub.digest);
             put_varint(&mut fubs, fub.fwd.len() as u64);
             for &s in fub.fwd.iter().chain(&fub.bwd) {
@@ -217,10 +206,10 @@ impl StoredFixpoint {
         let mut top = Cursor::new(body);
 
         let mut meta = top.section(SEC_META)?;
-        let design = read_string(&mut meta)?;
+        let design = meta.string()?;
         let content_digest = meta.u64()?;
         let mapping_digest = meta.u64()?;
-        let result_key = read_string(&mut meta)?;
+        let result_key = meta.string()?;
         let converged = match meta.u8()? {
             0 => false,
             1 => true,
@@ -229,25 +218,17 @@ impl StoredFixpoint {
         let node_count = usize::try_from(meta.varint()?).map_err(|_| SnapshotError::BadIndex)?;
 
         let mut tc = top.section(SEC_TERMS)?;
-        let term_count = read_count(&mut tc)?;
+        let term_count = tc.count()?;
         let mut terms = Vec::with_capacity(term_count);
         for _ in 0..term_count {
-            let tag = tc.u8()?;
-            let name = read_string(&mut tc)?;
-            terms.push(match tag {
-                0 => TermKind::Top,
-                1 => TermKind::ReadPort(name),
-                2 => TermKind::WritePort(name),
-                3 => TermKind::Injected(name),
-                _ => return Err(SnapshotError::BadIndex),
-            });
+            terms.push(read_term(&mut tc)?);
         }
 
         let mut sc = top.section(SEC_SETS)?;
-        let set_count = read_count(&mut sc)?;
+        let set_count = sc.count()?;
         let mut sets = Vec::with_capacity(set_count);
         for _ in 0..set_count {
-            let len = read_count(&mut sc)?;
+            let len = sc.count()?;
             let mut set = Vec::with_capacity(len);
             let mut prev = 0u32;
             for _ in 0..len {
@@ -263,14 +244,14 @@ impl StoredFixpoint {
         }
 
         let mut fc = top.section(SEC_FUBS)?;
-        let fub_count = read_count(&mut fc)?;
+        let fub_count = fc.count()?;
         let mut fubs = Vec::with_capacity(fub_count);
         let mut total_nodes = 0usize;
         let set_limit = sets.len() + 2;
         for _ in 0..fub_count {
-            let name = read_string(&mut fc)?;
+            let name = fc.string()?;
             let digest = fc.u64()?;
-            let nodes = read_count(&mut fc)?;
+            let nodes = fc.count()?;
             total_nodes = total_nodes
                 .checked_add(nodes)
                 .ok_or(SnapshotError::BadIndex)?;
@@ -300,7 +281,7 @@ impl StoredFixpoint {
 
         let mut bc = top.section(SEC_BOUNDARY)?;
         let read_arr = |bc: &mut Cursor<'_>| -> Result<Vec<u32>, SnapshotError> {
-            let n = read_count(bc)?;
+            let n = bc.count()?;
             let mut v = Vec::with_capacity(n);
             for _ in 0..n {
                 v.push(u32::try_from(bc.varint()?).map_err(|_| SnapshotError::BadIndex)?);
@@ -344,9 +325,7 @@ impl StoredFixpoint {
             }
         }
 
-        if !top.at_end() {
-            return Err(SnapshotError::Truncated);
-        }
+        top.end()?;
         Ok(StoredFixpoint {
             design,
             content_digest,
@@ -362,21 +341,30 @@ impl StoredFixpoint {
     }
 }
 
-/// Reads a varint count, rejecting any value that could not possibly be
-/// backed by the remaining bytes (each element needs at least one byte),
-/// so corrupt counts never drive huge allocations.
-fn read_count(c: &mut Cursor<'_>) -> Result<usize, SnapshotError> {
-    let n = usize::try_from(c.varint()?).map_err(|_| SnapshotError::BadIndex)?;
-    if n > c.remaining() {
-        return Err(SnapshotError::Truncated);
-    }
-    Ok(n)
+/// Appends one term: its kind tag, then its name. The term encoding of
+/// both core artifacts, this fixpoint and the compiled sweep DAG.
+pub(crate) fn put_term(out: &mut Vec<u8>, kind: &TermKind) {
+    let (tag, name) = match kind {
+        TermKind::Top => (0u8, ""),
+        TermKind::ReadPort(s) => (1, s.as_str()),
+        TermKind::WritePort(s) => (2, s.as_str()),
+        TermKind::Injected(s) => (3, s.as_str()),
+    };
+    out.push(tag);
+    put_string(out, name);
 }
 
-fn read_string(c: &mut Cursor<'_>) -> Result<String, SnapshotError> {
-    let len = read_count(c)?;
-    let bytes = c.take(len)?;
-    String::from_utf8(bytes.to_vec()).map_err(|_| SnapshotError::BadSymbolTable)
+/// Reads one term written by [`put_term`].
+pub(crate) fn read_term(c: &mut Cursor<'_>) -> Result<TermKind, SnapshotError> {
+    let tag = c.u8()?;
+    let name = c.string()?;
+    Ok(match tag {
+        0 => TermKind::Top,
+        1 => TermKind::ReadPort(name),
+        2 => TermKind::WritePort(name),
+        3 => TermKind::Injected(name),
+        _ => return Err(SnapshotError::BadIndex),
+    })
 }
 
 /// Digest of the structure-mapping text for `nl` — part of the artifact's
@@ -404,16 +392,11 @@ pub fn load(path: &Path) -> Result<Option<StoredFixpoint>, SnapshotError> {
     StoredFixpoint::decode(&bytes).map(Some)
 }
 
-/// Atomically writes an artifact (temp file + rename, like the sweep
-/// cache) so a crashed writer never leaves a torn file that a later warm
-/// start would reject.
+/// Writes an artifact through [`write_atomic`], the temp-file-plus-rename
+/// every artifact family shares, so a crashed or racing writer never
+/// leaves a torn file that a later warm start would reject.
 pub fn store(path: &Path, stored: &StoredFixpoint) -> io::Result<()> {
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    let tmp = path.with_extension("bin.tmp");
-    std::fs::write(&tmp, stored.encode())?;
-    std::fs::rename(&tmp, path)
+    write_atomic(path, &stored.encode())
 }
 
 /// Captures the converged state of a run as a fixpoint artifact.

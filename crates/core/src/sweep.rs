@@ -37,6 +37,7 @@ use std::sync::Arc;
 
 use seqavf_netlist::graph::Netlist;
 use seqavf_netlist::scc::LoopAnalysis;
+use seqavf_netlist::snapshot::write_atomic;
 use seqavf_netlist::Fnv1a64;
 use seqavf_obs::Collector;
 
@@ -84,11 +85,12 @@ fn cache_key_parts(content_digest: u64, mapping_text: &str, result_key: &str) ->
 
 /// An on-disk cache of compiled sweep artifacts.
 ///
-/// One directory, one `sweep-<key>.txt` artifact per key. Artifacts that
-/// fail to parse, embed a different configuration, or disagree with the
-/// requested netlist's node count are treated as misses (and overwritten
-/// by the fresh store) — corruption degrades to a recompute, never to a
-/// wrong answer.
+/// One directory, one sealed `seqavf-sweep/3` artifact
+/// (`sweep-<key>.bin`, see [`CompiledSweep::encode`]) per key. Artifacts
+/// that fail to decode, embed a different configuration, or disagree with
+/// the requested netlist's node count are treated as misses (and
+/// overwritten by the fresh store) — corruption degrades to a recompute,
+/// never to a wrong answer.
 #[derive(Debug, Clone)]
 pub struct SweepCache {
     dir: PathBuf,
@@ -105,26 +107,22 @@ impl SweepCache {
 
     /// The artifact path for a key.
     pub fn artifact_path(&self, key: u64) -> PathBuf {
-        self.dir.join(format!("sweep-{key:016x}.txt"))
+        self.dir.join(format!("sweep-{key:016x}.bin"))
     }
 
-    /// The cache directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Loads the artifact for `key` if present, parseable, configured as
+    /// Loads the artifact for `key` if present, decodable, configured as
     /// requested, and shaped for a netlist of `node_count` nodes.
     pub fn load(&self, key: u64, config: &SartConfig, node_count: usize) -> Option<CompiledSweep> {
-        let text = std::fs::read_to_string(self.artifact_path(key)).ok()?;
-        let compiled = CompiledSweep::from_text(&text, config).ok()?;
+        let bytes = std::fs::read(self.artifact_path(key)).ok()?;
+        let compiled = CompiledSweep::decode(&bytes, config).ok()?;
         (compiled.node_count() == node_count).then_some(compiled)
     }
 
-    /// Stores a compiled artifact under `key`.
+    /// Stores a compiled artifact under `key`, atomically
+    /// ([`write_atomic`]).
     pub fn store(&self, key: u64, compiled: &CompiledSweep) -> Result<PathBuf, String> {
         let path = self.artifact_path(key);
-        std::fs::write(&path, compiled.to_text())
+        write_atomic(&path, &compiled.encode())
             .map_err(|e| format!("cannot write cache artifact {}: {e}", path.display()))?;
         Ok(path)
     }
@@ -446,7 +444,7 @@ pub fn run_sweep_with_loops_traced(
         obs,
     )?;
 
-    let tables: Vec<PavfInputs> = workloads.iter().map(|(_, t)| t.clone()).collect();
+    let tables: Vec<&PavfInputs> = workloads.iter().map(|(_, t)| t).collect();
     let avfs = compiled.evaluate_many_traced(&tables, opts.threads, obs);
     let seq: Vec<usize> = nl.seq_nodes().map(|id| id.index()).collect();
     let rows = workloads

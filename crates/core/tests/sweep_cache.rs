@@ -197,10 +197,14 @@ fn corrupt_artifact_degrades_to_a_miss() {
         .find(|e| e.file_name().to_string_lossy().starts_with("sweep-"))
         .expect("artifact stored")
         .path();
-    std::fs::write(&artifact, "seqavf-sweep/2\ngarbage\n").unwrap();
+    let mut garbage = b"seqavf-sweep/3\n".to_vec();
+    garbage.extend((0u8..64).map(|b| b.wrapping_mul(37)));
+    std::fs::write(&artifact, &garbage).unwrap();
     assert_eq!(sweep(&nl, &config, &dir, &obs).cache, CacheStatus::Miss);
-    // A stale pre-result-key artifact (v1 header) is likewise just a miss.
-    std::fs::write(&artifact, "seqavf-sweep/1\ngarbage\n").unwrap();
+    // An artifact of another format version (here, the retired text
+    // format's magic) is likewise just a miss.
+    garbage[..15].copy_from_slice(b"seqavf-sweep/2\n");
+    std::fs::write(&artifact, &garbage).unwrap();
     assert_eq!(sweep(&nl, &config, &dir, &obs).cache, CacheStatus::Miss);
     assert_eq!(sweep(&nl, &config, &dir, &obs).cache, CacheStatus::Hit);
     let _ = std::fs::remove_dir_all(&dir);

@@ -17,7 +17,9 @@
 //! - [`scc`] — Tarjan strongly-connected-component detection used to find
 //!   state-machine feedback loops (§4.3).
 //! - [`snapshot`] — the `seqavf-graph/2` versioned binary format for
-//!   caching flattened graphs (plus their loop analysis) on disk.
+//!   caching flattened graphs (plus their loop analysis) on disk, the
+//!   sealed section codec every artifact family shares, atomic artifact
+//!   writes, and the graph-cache loader.
 //! - [`synth`] — a seeded generator of processor-shaped synthetic designs
 //!   (pipelines, logical joins, distribution splits, FSM loops, control
 //!   registers) standing in for the proprietary Intel Xeon RTL.

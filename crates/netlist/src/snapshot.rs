@@ -42,12 +42,26 @@
 //! [`SnapshotError`] — never a panic — so callers degrade to a recompute
 //! exactly like a sweep-cache miss. Old `seqavf-graph/1` files are
 //! rejected up front with [`SnapshotError::UnsupportedVersion`].
+//!
+//! The envelope and section codec here are shared by every on-disk
+//! artifact family: the graph snapshot, the relaxation fixpoint
+//! (`seqavf-fixpoint/1`) and the compiled sweep DAG (`seqavf-sweep/3`),
+//! the latter two encoded by `seqavf-core` through [`put_section`],
+//! [`seal`], [`open_sealed`] and [`Cursor`]. All three are written through
+//! [`write_atomic`]. [`load_or_parse`] is the one graph-cache loader the
+//! CLI's `--graph-cache` and the resident server share.
 
 use std::fmt;
+use std::io;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
+use seqavf_obs::Collector;
+
+use crate::error::ExlifError;
 use crate::graph::{FubId, GateOp, Netlist, NodeId, NodeKind, SeqKind, StructId};
-use crate::intern::{Sym, SymbolTable, WideFnv64};
-use crate::scc::LoopAnalysis;
+use crate::intern::{Fnv1a64, Sym, SymbolTable, WideFnv64};
+use crate::scc::{find_loops_traced, LoopAnalysis};
 
 /// Format magic, bumped whenever the layout changes.
 pub const MAGIC: &[u8] = b"seqavf-graph/2\n";
@@ -68,6 +82,13 @@ pub const FIXPOINT_MAGIC: &[u8] = b"seqavf-fixpoint/1\n";
 /// Version-family prefix of [`FIXPOINT_MAGIC`].
 pub const FIXPOINT_MAGIC_FAMILY: &[u8] = b"seqavf-fixpoint/";
 
+/// Magic of the compiled sweep DAG artifact, encoded by `seqavf-core` in
+/// the same sealed envelope (versions 1 and 2 were text, never read).
+pub const SWEEP_MAGIC: &[u8] = b"seqavf-sweep/3\n";
+
+/// Version-family prefix of [`SWEEP_MAGIC`].
+pub const SWEEP_MAGIC_FAMILY: &[u8] = b"seqavf-sweep/";
+
 const TAG_DESIGN: u8 = 1;
 const TAG_SYMS: u8 = 2;
 const TAG_NODES: u8 = 3;
@@ -77,44 +98,50 @@ const TAG_EDGES: u8 = 6;
 const TAG_LOOPS: u8 = 7;
 const TAG_HEADER: u8 = 8;
 
-/// Why a snapshot could not be loaded. All variants are recoverable — the
-/// caller recomputes from source.
+/// Why a sealed artifact (graph snapshot, fixpoint or compiled DAG) could
+/// not be loaded. All variants are recoverable — the caller recomputes
+/// from source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotError {
-    /// The file does not start with the `seqavf-graph/` magic family
+    /// The file does not start with the expected artifact family's magic
     /// (wrong file entirely).
     BadMagic,
-    /// The file is a snapshot, but of a different format version (e.g. a
-    /// stale `seqavf-graph/1` cache entry). Rebuild and re-save.
+    /// The file belongs to the expected family, but to a different format
+    /// version (e.g. a stale `seqavf-graph/1` cache entry). Rebuild and
+    /// re-save.
     UnsupportedVersion,
     /// The whole-file checksum trailer does not match (truncation or
     /// corruption).
     ChecksumMismatch,
-    /// A section or field extends past the end of the file.
+    /// A section, field or element count extends past the end of the
+    /// file.
     Truncated,
     /// A section appeared with an unexpected tag.
     BadSection(u8),
-    /// The symbol table failed validation (bad span, UTF-8, or duplicate).
+    /// A symbol table or stored string failed validation (bad span,
+    /// UTF-8, or duplicate).
     BadSymbolTable,
-    /// A node/FUB/structure/edge index is out of range or inconsistent.
+    /// An index is out of range or inconsistent, or bytes trail a section.
     BadIndex,
     /// The rebuilt graph's content digest differs from the header.
     DigestMismatch,
+    /// The artifact is intact but was written for a different result
+    /// configuration than the one requested.
+    KeyMismatch,
 }
 
 impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SnapshotError::BadMagic => write!(f, "not a seqavf-graph snapshot"),
-            SnapshotError::UnsupportedVersion => {
-                write!(f, "unsupported snapshot version (expected seqavf-graph/2)")
-            }
-            SnapshotError::ChecksumMismatch => write!(f, "snapshot checksum mismatch"),
-            SnapshotError::Truncated => write!(f, "snapshot truncated"),
-            SnapshotError::BadSection(t) => write!(f, "unexpected snapshot section tag {t}"),
-            SnapshotError::BadSymbolTable => write!(f, "snapshot symbol table invalid"),
-            SnapshotError::BadIndex => write!(f, "snapshot index out of range"),
-            SnapshotError::DigestMismatch => write!(f, "snapshot content digest mismatch"),
+            SnapshotError::BadMagic => write!(f, "not an artifact of the expected seqavf family"),
+            SnapshotError::UnsupportedVersion => write!(f, "unsupported artifact format version"),
+            SnapshotError::ChecksumMismatch => write!(f, "artifact checksum mismatch"),
+            SnapshotError::Truncated => write!(f, "artifact truncated"),
+            SnapshotError::BadSection(t) => write!(f, "unexpected artifact section tag {t}"),
+            SnapshotError::BadSymbolTable => write!(f, "artifact symbol table or string invalid"),
+            SnapshotError::BadIndex => write!(f, "artifact index out of range"),
+            SnapshotError::DigestMismatch => write!(f, "artifact content digest mismatch"),
+            SnapshotError::KeyMismatch => write!(f, "artifact written for another configuration"),
         }
     }
 }
@@ -151,6 +178,13 @@ pub fn put_delta(out: &mut Vec<u8>, prev: usize, cur: usize) {
     put_varint(out, zigzag(cur as i64 - prev as i64));
 }
 
+/// Appends a count-prefixed UTF-8 string (read back by
+/// [`Cursor::string`]).
+pub fn put_string(out: &mut Vec<u8>, s: &str) {
+    put_varint(out, s.len() as u64);
+    out.extend_from_slice(s.as_bytes());
+}
+
 /// Appends a tagged, length-prefixed section.
 pub fn put_section(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
     out.push(tag);
@@ -168,9 +202,8 @@ pub fn seal(out: &mut Vec<u8>) {
 
 /// Validates the envelope of a sealed artifact — exact magic, version
 /// family, and the whole-file checksum trailer — and returns the body
-/// between magic and trailer. Shared by the graph snapshot and the
-/// fixpoint artifact so corruption degrades to the same recoverable
-/// errors everywhere.
+/// between magic and trailer. Shared by every artifact family so
+/// corruption degrades to the same recoverable errors everywhere.
 pub fn open_sealed<'a>(
     bytes: &'a [u8],
     magic: &[u8],
@@ -321,10 +354,7 @@ pub fn save(nl: &Netlist, loops: &LoopAnalysis) -> Vec<u8> {
         }
     }
     put_section(&mut out, TAG_LOOPS, &p);
-
-    let mut h = WideFnv64::new();
-    h.update(&out);
-    put_u64(&mut out, h.finish());
+    seal(&mut out);
     out
 }
 
@@ -411,6 +441,23 @@ impl<'a> Cursor<'a> {
         }
     }
 
+    /// Reads a varint element count, rejecting any count the remaining
+    /// bytes could not hold (every element takes at least one byte), so a
+    /// corrupt count never drives a huge allocation.
+    pub fn count(&mut self) -> Result<usize, SnapshotError> {
+        let n = usize::try_from(self.varint()?).map_err(|_| SnapshotError::BadIndex)?;
+        if n > self.remaining() {
+            return Err(SnapshotError::Truncated);
+        }
+        Ok(n)
+    }
+
+    /// Reads a string written by [`put_string`].
+    pub fn string(&mut self) -> Result<String, SnapshotError> {
+        let len = self.count()?;
+        String::from_utf8(self.take(len)?.to_vec()).map_err(|_| SnapshotError::BadSymbolTable)
+    }
+
     /// A zigzag varint delta applied to `prev`, bounds-checked into
     /// `0..limit`.
     pub fn delta_index(&mut self, prev: usize, limit: usize) -> Result<usize, SnapshotError> {
@@ -435,9 +482,12 @@ impl<'a> Cursor<'a> {
         Ok(Cursor::new(self.take(len)?))
     }
 
-    /// Whether every byte has been consumed.
-    pub fn at_end(&self) -> bool {
-        self.pos == self.b.len()
+    /// `Ok` once every byte has been consumed; trailing bytes are
+    /// [`SnapshotError::BadIndex`].
+    pub fn end(&self) -> Result<(), SnapshotError> {
+        (self.pos == self.b.len())
+            .then_some(())
+            .ok_or(SnapshotError::BadIndex)
     }
 }
 
@@ -488,9 +538,7 @@ impl Header {
             }
             *c = v;
         }
-        if !s.at_end() {
-            return Err(SnapshotError::BadIndex);
-        }
+        s.end()?;
         let [nodes, edges, fubs, structs, syms, sym_bytes, loop_components] = counts;
         Ok(Header {
             nodes,
@@ -512,39 +560,7 @@ impl Header {
 /// version, failed checksum, truncation, invalid indices, or a digest that
 /// does not match the rebuilt graph. Corruption never panics.
 pub fn load(bytes: &[u8]) -> Result<(Netlist, LoopAnalysis), SnapshotError> {
-    if bytes.len() < MAGIC.len() + 16 {
-        return Err(if bytes.starts_with(MAGIC) || MAGIC.starts_with(bytes) {
-            SnapshotError::Truncated
-        } else if bytes.starts_with(MAGIC_FAMILY) {
-            SnapshotError::UnsupportedVersion
-        } else {
-            SnapshotError::BadMagic
-        });
-    }
-    if &bytes[..MAGIC.len()] != MAGIC {
-        return Err(if bytes.starts_with(MAGIC_FAMILY) {
-            SnapshotError::UnsupportedVersion
-        } else {
-            SnapshotError::BadMagic
-        });
-    }
-    // Verify the whole-file checksum before trusting any section length.
-    let body = &bytes[..bytes.len() - 8];
-    let mut h = WideFnv64::new();
-    h.update(body);
-    // The length guard above makes this slice exactly 8 bytes, but a
-    // resident server cannot afford a panic path on untrusted input —
-    // degrade to a checksum error instead.
-    let trailer_bytes: [u8; 8] = match bytes[bytes.len() - 8..].try_into() {
-        Ok(b) => b,
-        Err(_) => return Err(SnapshotError::Truncated),
-    };
-    let trailer = u64::from_le_bytes(trailer_bytes);
-    if h.finish() != trailer {
-        return Err(SnapshotError::ChecksumMismatch);
-    }
-
-    let mut c = Cursor::new(&body[MAGIC.len()..]);
+    let mut c = Cursor::new(open_sealed(bytes, MAGIC, MAGIC_FAMILY)?);
     let header_digest = c.u64()?;
 
     let mut s = c.section(TAG_HEADER)?;
@@ -571,9 +587,7 @@ pub fn load(bytes: &[u8]) -> Result<(Netlist, LoopAnalysis), SnapshotError> {
         spans.push((start, len));
         expected_start = i64::from(start) + i64::from(len);
     }
-    if !s.at_end() {
-        return Err(SnapshotError::BadIndex);
-    }
+    s.end()?;
     let symbols = SymbolTable::from_raw(buf, spans).ok_or(SnapshotError::BadSymbolTable)?;
 
     let mut s = c.section(TAG_NODES)?;
@@ -601,9 +615,7 @@ pub fn load(bytes: &[u8]) -> Result<(Netlist, LoopAnalysis), SnapshotError> {
     for _ in 0..hdr.nodes {
         kinds.push(decode_kind(&mut s, hdr.structs)?);
     }
-    if !s.at_end() {
-        return Err(SnapshotError::BadIndex);
-    }
+    s.end()?;
 
     let mut s = c.section(TAG_FUBS)?;
     let mut fubs = Vec::with_capacity(hdr.fubs);
@@ -613,9 +625,7 @@ pub fn load(bytes: &[u8]) -> Result<(Netlist, LoopAnalysis), SnapshotError> {
         fubs.push(Sym::from_index(i));
         prev = i;
     }
-    if !s.at_end() {
-        return Err(SnapshotError::BadIndex);
-    }
+    s.end()?;
 
     let mut s = c.section(TAG_STRUCTS)?;
     let mut structures = Vec::with_capacity(hdr.structs);
@@ -643,9 +653,7 @@ pub fn load(bytes: &[u8]) -> Result<(Netlist, LoopAnalysis), SnapshotError> {
             cells,
         ));
     }
-    if !s.at_end() {
-        return Err(SnapshotError::BadIndex);
-    }
+    s.end()?;
 
     let mut s = c.section(TAG_EDGES)?;
     let mut fanin_off = Vec::with_capacity(hdr.nodes + 1);
@@ -668,9 +676,7 @@ pub fn load(bytes: &[u8]) -> Result<(Netlist, LoopAnalysis), SnapshotError> {
             fanin_dat.push(NodeId::from_index(i));
         }
     }
-    if !s.at_end() {
-        return Err(SnapshotError::BadIndex);
-    }
+    s.end()?;
 
     let mut s = c.section(TAG_LOOPS)?;
     let mut components = Vec::with_capacity(hdr.loop_components);
@@ -688,9 +694,8 @@ pub fn load(bytes: &[u8]) -> Result<(Netlist, LoopAnalysis), SnapshotError> {
         }
         components.push(comp);
     }
-    if !s.at_end() || !c.at_end() {
-        return Err(SnapshotError::BadIndex);
-    }
+    s.end()?;
+    c.end()?;
 
     let nl = Netlist::from_raw_parts(
         design, symbols, node_syms, kinds, fub_of, fubs, structures, fanin_off, fanin_dat,
@@ -702,16 +707,83 @@ pub fn load(bytes: &[u8]) -> Result<(Netlist, LoopAnalysis), SnapshotError> {
     Ok((nl, loops))
 }
 
-impl Netlist {
-    /// [`save`] as a method.
-    pub fn to_snapshot(&self, loops: &LoopAnalysis) -> Vec<u8> {
-        save(self, loops)
+/// Writes an artifact so readers see the old file or the whole new one,
+/// never a torn write: a temp file beside `path`, named per process and
+/// call so concurrent writers never share one, renamed over `path`. No
+/// fsync: a file cut short by a power loss reads back as a cache miss.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir)?;
     }
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(
+        ".{}-{}.tmp",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let tmp = PathBuf::from(tmp);
+    let written = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
+}
 
-    /// [`load`] as an associated function.
-    pub fn from_snapshot(bytes: &[u8]) -> Result<(Netlist, LoopAnalysis), SnapshotError> {
-        load(bytes)
+/// Whether `path` selects the structural-Verilog frontend, not EXLIF.
+fn is_verilog(path: &str) -> bool {
+    path.ends_with(".v") || path.ends_with(".sv")
+}
+
+/// The graph-cache key of a design source: FNV-1a over the frontend tag
+/// its path selects and the source text. It names the `graph-<key>.bin`
+/// snapshot, and the resident server's `design_ref` token.
+pub fn design_key(path: &str, text: &str) -> u64 {
+    let tag: &[u8] = if is_verilog(path) {
+        b"verilog"
+    } else {
+        b"exlif"
+    };
+    let mut h = Fnv1a64::new();
+    h.update(tag);
+    h.update(&[0]);
+    h.update(text.as_bytes());
+    h.finish()
+}
+
+/// The graph-cache loader: builds the graph of the design source `text`
+/// read from `path`. With `cache` (a directory and the source's
+/// [`design_key`]) a valid `graph-<key>.bin` snapshot skips parse, flatten
+/// and SCC (`frontend.snapshot.hit`); otherwise (`frontend.snapshot.miss`)
+/// the source is parsed and the snapshot rewritten, best effort. Loops
+/// come back whenever a cache is given; without one they are left to the
+/// caller, which may never need them (a cached sweep DAG skips
+/// relaxation). Errors are the frontend's parse errors.
+pub fn load_or_parse(
+    path: &str,
+    text: &str,
+    cache: Option<(&Path, u64)>,
+    obs: &Collector,
+) -> Result<(Netlist, Option<LoopAnalysis>), ExlifError> {
+    let snap_path = cache.map(|(dir, key)| dir.join(format!("graph-{key:016x}.bin")));
+    if let Some(p) = &snap_path {
+        if let Some((nl, loops)) = std::fs::read(p).ok().and_then(|b| load(&b).ok()) {
+            obs.count("frontend.snapshot.hit", 1);
+            return Ok((nl, Some(loops)));
+        }
+        obs.count("frontend.snapshot.miss", 1);
     }
+    let nl = if is_verilog(path) {
+        crate::verilog::parse_netlist_traced(text, obs)?
+    } else {
+        crate::flatten::parse_netlist_traced(text, obs)?
+    };
+    let Some(p) = snap_path else {
+        return Ok((nl, None));
+    };
+    let loops = find_loops_traced(&nl, obs);
+    let _ = write_atomic(&p, &save(&nl, &loops));
+    Ok((nl, Some(loops)))
 }
 
 #[cfg(test)]
@@ -804,7 +876,7 @@ mod tests {
         for &v in &vals {
             assert_eq!(c.varint().unwrap(), v);
         }
-        assert!(c.at_end());
+        assert_eq!(c.end(), Ok(()));
     }
 
     #[test]

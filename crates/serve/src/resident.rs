@@ -4,8 +4,10 @@
 //! Two tiers of residency, keyed by the digests the on-disk caches
 //! already use so warm state and disk artifacts agree about identity:
 //!
-//! * **Graphs** — keyed by an FNV-1a hash of `(frontend tag, source
-//!   text)`, the exact key the CLI's `--graph-cache` snapshot files use.
+//! * **Graphs** — keyed by [`snapshot::design_key`], the FNV-1a hash of
+//!   `(frontend tag, source text)` that also names the `--graph-cache`
+//!   snapshot files; misses go through the same loader the CLI uses,
+//!   [`snapshot::load_or_parse`].
 //!   A resident entry holds the flattened [`Netlist`], its
 //!   [`LoopAnalysis`], and the structure mapping it was loaded with. The
 //!   key doubles as the `design_ref` token clients echo back to skip
@@ -35,7 +37,7 @@ use seqavf_core::sweep::{
 };
 use seqavf_netlist::graph::Netlist;
 use seqavf_netlist::scc::{find_loops_traced, LoopAnalysis};
-use seqavf_netlist::{flatten, snapshot, verilog, Fnv1a64};
+use seqavf_netlist::snapshot;
 use seqavf_obs::Collector;
 
 use crate::api::{
@@ -90,8 +92,9 @@ pub struct ResidentConfig {
     /// `seqavf-graph/2` snapshots consulted (and written) on graph
     /// misses.
     pub graph_cache: Option<PathBuf>,
-    /// `--cache-dir` directory shared with the CLI: `seqavf-sweep/2`
-    /// artifacts consulted (and written) on sweep misses.
+    /// `--cache-dir` directory shared with the CLI: sealed binary
+    /// `seqavf-sweep/3` DAG artifacts (`sweep-<key>.bin`) consulted (and
+    /// written) on sweep misses.
     pub sweep_cache: Option<PathBuf>,
 }
 
@@ -159,17 +162,6 @@ type ResolvedSweep = (
     Option<(WarmStatus, usize)>,
     Option<PatchStatus>,
 );
-
-/// The `design_ref` key: FNV-1a over the frontend tag and source text —
-/// byte-compatible with the CLI's `--graph-cache` snapshot file naming,
-/// so both tools address the same snapshot for the same source.
-pub fn design_key(text: &str, is_verilog: bool) -> u64 {
-    let mut h = Fnv1a64::new();
-    h.update(if is_verilog { b"verilog" } else { b"exlif" });
-    h.update(&[0]);
-    h.update(text.as_bytes());
-    h.finish()
-}
 
 impl Resident {
     /// Creates empty resident state. `obs` receives the service counters
@@ -324,15 +316,14 @@ impl Resident {
         })?;
         let text = std::fs::read_to_string(path)
             .map_err(|e| ApiError::bad_request(format!("reading design {path}: {e}")))?;
-        let is_verilog = path.ends_with(".v") || path.ends_with(".sv");
-        let key = design_key(&text, is_verilog);
+        let key = snapshot::design_key(path, &text);
         if let Some(d) = lock(&self.graphs).get(key) {
             self.obs.count("serve.graph.hit", 1);
             return Ok((key, Arc::clone(d), "hit"));
         }
         // Cold: parse (or restore a snapshot) without holding the lock.
         self.obs.count("serve.graph.miss", 1);
-        let (netlist, loops) = self.load_graph(path, &text, is_verilog, key)?;
+        let (netlist, loops) = self.load_graph(path, &text, key)?;
         let mapping = match &req.map_path {
             Some(mp) => {
                 let mtext = std::fs::read_to_string(mp)
@@ -352,41 +343,20 @@ impl Resident {
         Ok((key, design, "miss"))
     }
 
-    /// Loads the graph for `key` from the snapshot disk tier or a full
-    /// parse + loop analysis, writing the snapshot back on a parse.
+    /// Loads the graph for `key` through the shared graph-cache loader
+    /// ([`snapshot::load_or_parse`]) against `--graph-cache`. Resident
+    /// designs always carry their loop analysis, so a cacheless load
+    /// finds it here.
     fn load_graph(
         &self,
         path: &str,
         text: &str,
-        is_verilog: bool,
         key: u64,
     ) -> Result<(Netlist, LoopAnalysis), ApiError> {
-        let snap_path = self
-            .cfg
-            .graph_cache
-            .as_ref()
-            .map(|dir| dir.join(format!("graph-{key:016x}.bin")));
-        if let Some((nl, loops)) = snap_path.as_ref().and_then(|p| {
-            let bytes = std::fs::read(p).ok()?;
-            snapshot::load(&bytes).ok()
-        }) {
-            self.obs.count("frontend.snapshot.hit", 1);
-            return Ok((nl, loops));
-        }
-        let nl = if is_verilog {
-            verilog::parse_netlist_traced(text, &self.obs)
-        } else {
-            flatten::parse_netlist_traced(text, &self.obs)
-        }
-        .map_err(|e| ApiError::bad_request(format!("parsing {path}: {e}")))?;
-        let loops = find_loops_traced(&nl, &self.obs);
-        if let Some(p) = &snap_path {
-            self.obs.count("frontend.snapshot.miss", 1);
-            if let Some(dir) = p.parent() {
-                let _ = std::fs::create_dir_all(dir);
-            }
-            let _ = std::fs::write(p, snapshot::save(&nl, &loops));
-        }
+        let cache = self.cfg.graph_cache.as_deref().map(|dir| (dir, key));
+        let (nl, loops) = snapshot::load_or_parse(path, text, cache, &self.obs)
+            .map_err(|e| ApiError::bad_request(format!("parsing {path}: {e}")))?;
+        let loops = loops.unwrap_or_else(|| find_loops_traced(&nl, &self.obs));
         Ok((nl, loops))
     }
 
@@ -533,8 +503,7 @@ impl Resident {
         let path = &req.design_path;
         let text = std::fs::read_to_string(path)
             .map_err(|e| ApiError::bad_request(format!("reading design {path}: {e}")))?;
-        let is_verilog = path.ends_with(".v") || path.ends_with(".sv");
-        let key = design_key(&text, is_verilog);
+        let key = snapshot::design_key(path, &text);
 
         // The revision being superseded, if it is still resident.
         let prev = match &req.prev_ref {
@@ -546,7 +515,7 @@ impl Resident {
             None => None,
         };
 
-        let (netlist, loops) = self.load_graph(path, &text, is_verilog, key)?;
+        let (netlist, loops) = self.load_graph(path, &text, key)?;
         // An explicit map_path wins; otherwise the previous revision's
         // mapping carries across by structure name (names are the
         // edit-stable identity the whole warm path is built on).
@@ -842,7 +811,8 @@ mod tests {
 
         // The same computation through the library path the CLI uses.
         let text = std::fs::read_to_string(&design).unwrap();
-        let nl = flatten::parse_netlist_traced(&text, &Collector::disabled()).unwrap();
+        let nl =
+            seqavf_netlist::flatten::parse_netlist_traced(&text, &Collector::disabled()).unwrap();
         let mapping =
             StructureMapping::from_text(&nl, &std::fs::read_to_string(&map).unwrap()).unwrap();
         let workloads: Vec<(String, PavfInputs)> = req
